@@ -405,6 +405,9 @@ type dayRun struct {
 	// knownFleet is the control plane's (detection-lagged) view of
 	// scenario fleet health: kills observed up to the previous interval.
 	knownFleet scenario.Effects
+	// triggersBefore is the scaler's cumulative trigger count when the
+	// day began; the day reports its own triggers as the difference.
+	triggersBefore int
 }
 
 // beginDay validates the workloads, resolves policies, compiles the
@@ -418,6 +421,7 @@ func (e *Engine) beginDay(ws []cluster.Workload) error {
 	r.res = DayResult{Router: e.Router, Policy: e.Provisioner.Kind.String(), Scenario: "baseline"}
 	if e.Scaler != nil {
 		r.res.Scaler = e.Scaler.Name()
+		r.triggersBefore = e.Scaler.TriggerCount()
 	}
 	if e.Admission != nil {
 		r.res.Admission = e.Admission.Name()
@@ -646,7 +650,7 @@ func (e *Engine) endDay() DayResult {
 	}
 	r.agg.finish(r.steps)
 	if e.Scaler != nil {
-		r.res.AutoscaleEvents = e.Scaler.TriggerCount()
+		r.res.AutoscaleEvents = e.Scaler.TriggerCount() - r.triggersBefore
 	}
 	e.Provisioner.OverProvisionR = e.baseOverR
 	e.Provisioner.Unavailable = nil

@@ -675,3 +675,43 @@ func TestPairBatchEffCurve(t *testing.T) {
 		t.Errorf("maxBatch 1 curve = %v, want nil", got)
 	}
 }
+
+// TestAutoscaleEventsPerDay: a reused engine reports each day's own
+// scaler triggers, not the scaler's running total since construction —
+// on one Engine and on one MultiEngine alike.
+func TestAutoscaleEventsPerDay(t *testing.T) {
+	ws := []cluster.Workload{{
+		Model: "DLRM-RMC1",
+		Trace: stepTrace(200, 2400, 2400, 2400, 2400, 2400, 2400, 2400),
+	}}
+	e := testEngine(PowerOfTwo, testOpts())
+	me := newRegionsEngine(t, regionsTestSpec(GeoSpill))
+	for _, c := range []struct {
+		name string
+		run  func() (DayResult, error)
+	}{
+		{"Engine", func() (DayResult, error) { return e.RunDay(ws) }},
+		{"MultiEngine", func() (DayResult, error) { return me.RunDay(regionsWorkloads()) }},
+	} {
+		first, err := c.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := c.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.AutoscaleEvents == 0 {
+			t.Fatalf("%s: the day must trigger the autoscaler", c.name)
+		}
+		if second.AutoscaleEvents != first.AutoscaleEvents {
+			t.Errorf("%s: second day reports %d autoscale events, the first %d",
+				c.name, second.AutoscaleEvents, first.AutoscaleEvents)
+		}
+		for i := range first.Regions {
+			if a, b := first.Regions[i].AutoscaleEvents, second.Regions[i].AutoscaleEvents; a != b {
+				t.Errorf("%s region %d: second day reports %d autoscale events, the first %d", c.name, i, b, a)
+			}
+		}
+	}
+}

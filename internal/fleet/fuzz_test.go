@@ -5,9 +5,45 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
+
+// validTwoIntervals is a well-formed two-interval recording, offer
+// lines in the form the writer emits them ("q":-1,"t":0). It is the
+// fuzz corpus's accepted seed (seed_valid_two_intervals).
+const validTwoIntervals = `{"i":0,"k":"offer","m":"A","q":-1,"t":0,"v":10,"aux":4}
+{"i":0,"k":"arrival","m":"A","q":1,"t":0.1,"v":3,"aux":4}
+{"i":0,"k":"arrival","m":"A","q":2,"t":0.2,"v":1,"aux":4}
+{"i":1,"k":"offer","m":"A","q":-1,"t":0,"v":12,"aux":4}
+{"i":1,"k":"arrival","m":"A","q":9,"t":0.05,"v":2,"aux":4}
+`
+
+// TestValidFuzzSeedParses: the accepted seed, inline and committed,
+// must really be accepted — else FuzzTraceParse's invariant branch
+// starts from no accepted input at all.
+func TestValidFuzzSeedParses(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzTraceParse", "seed_valid_two_intervals"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := strings.TrimSpace(strings.TrimPrefix(string(raw), "go test fuzz v1\n"))
+	committed, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(body, "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("corpus file: %v", err)
+	}
+	if committed != validTwoIntervals {
+		t.Errorf("committed seed differs from the inline one:\n%s", committed)
+	}
+	ts, err := ReadTrace(strings.NewReader(validTwoIntervals))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(ts.Queries(0, "A")) + len(ts.Queries(1, "A")); ts.Steps() != 2 || n != 3 {
+		t.Errorf("seed parsed to %d steps and %d queries, want 2 and 3", ts.Steps(), n)
+	}
+}
 
 // FuzzTraceParse hammers the NDJSON trace reader with arbitrary bytes:
 // it must never panic, and when it does accept an input the result must
@@ -15,13 +51,7 @@ import (
 // model) queries in strictly increasing ID order with non-decreasing
 // timestamps, and every interval inside [0, Steps).
 func FuzzTraceParse(f *testing.F) {
-	// A well-formed two-interval recording.
-	f.Add([]byte(`{"i":0,"k":"offer","m":"A","v":10,"aux":4}
-{"i":0,"k":"arrival","m":"A","q":1,"t":0.1,"v":3,"aux":4}
-{"i":0,"k":"arrival","m":"A","q":2,"t":0.2,"v":1,"aux":4}
-{"i":1,"k":"offer","m":"A","v":12,"aux":4}
-{"i":1,"k":"arrival","m":"A","q":9,"t":0.05,"v":2,"aux":4}
-`))
+	f.Add([]byte(validTwoIntervals))
 	// Lines the reader must reject without panicking.
 	f.Add([]byte(`{"i":0,"k":"arrival","m":"A","q":2,"t":0.2,"v":1,"aux":4}
 {"i":0,"k":"arrival","m":"A","q":2,"t":0.3,"v":1,"aux":4}
@@ -127,7 +157,7 @@ func FuzzSpecDecode(f *testing.F) {
 // inline f.Add seeds: short CI fuzz passes start from these files, and
 // any crasher minimized locally lands here as a regression input.
 func TestFuzzSeedsAreCommitted(t *testing.T) {
-	for _, target := range []string{"FuzzTraceParse", "FuzzSpecDecode"} {
+	for _, target := range []string{"FuzzTraceParse", "FuzzTraceLineDecode", "FuzzSpecDecode"} {
 		dir := filepath.Join("testdata", "fuzz", target)
 		ents, err := os.ReadDir(dir)
 		if err != nil {

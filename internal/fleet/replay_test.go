@@ -30,7 +30,7 @@ func replaySpec(router string, opts Options) Spec {
 
 // newReplayEngine builds the test engine from an explicit spec plus
 // extra options — testEngine with the spec opened up.
-func newReplayEngine(t *testing.T, spec Spec, extra ...Option) *Engine {
+func newReplayEngine(t testing.TB, spec Spec, extra ...Option) *Engine {
 	t.Helper()
 	opts := append([]Option{
 		WithFleet(testFleet()), WithTable(testTable()),
@@ -51,7 +51,7 @@ func arrivalSink(buf *bytes.Buffer) *telemetry.NDJSONWriter {
 
 // recordDay replays ws at full trace sampling and returns the recorded
 // arrival trace plus the DayResult it must pin.
-func recordDay(t *testing.T, spec Spec, ws []cluster.Workload) ([]byte, DayResult) {
+func recordDay(t testing.TB, spec Spec, ws []cluster.Workload) ([]byte, DayResult) {
 	t.Helper()
 	spec.Options.TraceSample = 1
 	e := newReplayEngine(t, spec)

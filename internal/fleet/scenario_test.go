@@ -110,33 +110,82 @@ func TestScenarioKillDegradesThenReprovisions(t *testing.T) {
 	}
 }
 
+// TestScenarioDerateRaisesTailsSilently pins what a derate is visible
+// to. The health and provisioning view never sees it: no dead servers,
+// and with the autoscaler off the same scheduled provisioning as the
+// day without the derate. The latency-reactive autoscaler is meant to see it,
+// through the tails it raises: under the default breach scaler every
+// interval whose fleet differs from the baseline's must be a boosted
+// or early re-provision that follows a breached interval within the
+// scaler's hold window.
 func TestScenarioDerateRaisesTailsSilently(t *testing.T) {
 	ws := flatTrace(1000, 6)
-	base, err := testEngine(LeastOutstanding, testOpts()).RunDay(ws)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sc := scenario.Scenario{Name: "throttle", Events: []scenario.Event{
 		{Kind: scenario.Derate, StartH: 0, EndH: 1, Factor: 0.5},
 	}}
-	slow, err := withScenario(t, testEngine(LeastOutstanding, testOpts()), ws, sc).RunDay(ws)
-	if err != nil {
-		t.Fatal(err)
+	run := func(scaled, derated bool) DayResult {
+		t.Helper()
+		e := testEngine(LeastOutstanding, testOpts())
+		if !scaled {
+			e.Scaler = nil
+		}
+		if derated {
+			e = withScenario(t, e, ws, sc)
+		}
+		res, err := e.RunDay(ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
+
+	// Scaler off: the derate moves tails and nothing the control plane
+	// provisions from.
+	base, slow := run(false, false), run(false, true)
 	// Half the service rate doubles the no-queueing latency floor.
 	if slow.MeanP95MS < base.MeanP95MS*1.5 {
 		t.Errorf("derated p95 %.2f must be well above baseline %.2f",
 			slow.MeanP95MS, base.MeanP95MS)
 	}
-	// Derates are invisible to the control plane: same provisioning.
 	for i, s := range slow.Steps {
 		if s.DeadServers != 0 {
 			t.Errorf("interval %d: derate must not report dead servers", i)
 		}
-		if s.ActiveServers != base.Steps[i].ActiveServers && !s.EarlyReprovision && !base.Steps[i].EarlyReprovision {
-			t.Errorf("interval %d: derate changed scheduled provisioning %d -> %d",
+		if s.ActiveServers != base.Steps[i].ActiveServers || s.Reprovisioned != base.Steps[i].Reprovisioned {
+			t.Errorf("interval %d: derate changed scheduled provisioning %d -> %d servers (reprovisioned %v -> %v)",
+				i, base.Steps[i].ActiveServers, s.ActiveServers, base.Steps[i].Reprovisioned, s.Reprovisioned)
+		}
+	}
+
+	// Default breach scaler: every provisioning change is the scaler's
+	// boost, answering a breach at most HoldIntervals intervals back.
+	base, slow = run(true, false), run(true, true)
+	hold := NewAutoscaler().HoldIntervals
+	changed := 0
+	for i, s := range slow.Steps {
+		if s.DeadServers != 0 {
+			t.Errorf("interval %d: derate must not report dead servers", i)
+		}
+		if s.ActiveServers == base.Steps[i].ActiveServers {
+			continue
+		}
+		changed++
+		if !s.Boosted && !s.EarlyReprovision {
+			t.Errorf("interval %d: provisioning %d -> %d servers without a boost or early re-provision",
 				i, base.Steps[i].ActiveServers, s.ActiveServers)
 		}
+		breached := false
+		for j := max(i-hold, 0); j < i; j++ {
+			breached = breached || slow.Steps[j].WindowsBreached > 0
+		}
+		if !breached {
+			t.Errorf("interval %d: provisioning %d -> %d servers with no breached interval in the %d before it",
+				i, base.Steps[i].ActiveServers, s.ActiveServers, hold)
+		}
+	}
+	if changed == 0 || slow.AutoscaleEvents == 0 {
+		t.Errorf("the breach scaler must answer the derated tails (%d intervals changed, %d triggers)",
+			changed, slow.AutoscaleEvents)
 	}
 }
 

@@ -2,11 +2,12 @@ package fleet
 
 import (
 	"bufio"
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 
 	"hercules/internal/cluster"
@@ -56,20 +57,6 @@ type traceOffer struct {
 	sliceS float64
 }
 
-// traceLine is the decoded wire form of one NDJSON trace event.
-// Required fields are pointers so a missing key is distinguishable
-// from a zero value; fields this reader never uses (inst, cand, n) are
-// simply ignored.
-type traceLine struct {
-	I   *int     `json:"i"`
-	K   *string  `json:"k"`
-	M   *string  `json:"m"`
-	Q   *int64   `json:"q"`
-	T   *float64 `json:"t"`
-	V   float64  `json:"v"`
-	Aux float64  `json:"aux"`
-}
-
 // LoadTrace reads an NDJSON arrival trace from a file.
 func LoadTrace(path string) (*TraceSource, error) {
 	f, err := os.Open(path)
@@ -91,6 +78,20 @@ func ReadTrace(r io.Reader) (*TraceSource, error) {
 		arrivals: make(map[traceKey][]workload.Query),
 		offers:   make(map[traceKey]traceOffer),
 	}
+	// Arrival streams in the order first met, with an index by key.
+	// Arrival lines come in long runs of one (interval, model) stream,
+	// so a line appends to the current stream and looks the key up
+	// only when the run changes. The fixed order also keeps the
+	// canonicalization pass below (and the error it reports first)
+	// independent of map iteration order.
+	var (
+		keys    []traceKey
+		streams [][]workload.Query
+		cur     = -1
+	)
+	index := make(map[traceKey]int)
+	dec := newLineDecoder()
+	var ln traceRecord
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	lineNo := 0
@@ -100,32 +101,41 @@ func ReadTrace(r io.Reader) (*TraceSource, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		var ln traceLine
-		if err := json.Unmarshal(raw, &ln); err != nil {
+		if err := dec.decode(raw, &ln); err != nil {
 			return nil, fmt.Errorf("trace line %d: %w", lineNo, err)
 		}
-		if ln.I == nil || ln.K == nil || ln.M == nil || ln.Q == nil || ln.T == nil {
+		if ln.has != hasRequired {
 			return nil, fmt.Errorf("trace line %d: missing required field (want i, k, m, q, t)", lineNo)
 		}
-		kind, ok := telemetry.KindByName(*ln.K)
+		kind, ok := telemetry.KindByName(ln.K)
 		if !ok {
-			return nil, fmt.Errorf("trace line %d: unknown event kind %q", lineNo, *ln.K)
+			return nil, fmt.Errorf("trace line %d: unknown event kind %q", lineNo, ln.K)
 		}
-		if *ln.I < 0 || *ln.I >= maxTraceIntervals {
-			return nil, fmt.Errorf("trace line %d: interval %d out of range [0, %d)", lineNo, *ln.I, maxTraceIntervals)
+		if ln.I < 0 || ln.I >= maxTraceIntervals {
+			return nil, fmt.Errorf("trace line %d: interval %d out of range [0, %d)", lineNo, ln.I, maxTraceIntervals)
 		}
-		if *ln.M == "" {
+		if ln.M == "" {
 			return nil, fmt.Errorf("trace line %d: empty model name", lineNo)
 		}
-		key := traceKey{*ln.I, *ln.M}
+		key := traceKey{ln.I, ln.M}
 		switch kind {
 		case telemetry.KindArrival:
-			if err := validArrival(ln); err != nil {
+			if err := validArrival(&ln); err != nil {
 				return nil, fmt.Errorf("trace line %d: %w", lineNo, err)
 			}
-			ts.arrivals[key] = append(ts.arrivals[key], workload.Query{
-				ID:          *ln.Q,
-				ArrivalS:    *ln.T,
+			if cur < 0 || keys[cur] != key {
+				i, known := index[key]
+				if !known {
+					i = len(keys)
+					index[key] = i
+					keys = append(keys, key)
+					streams = append(streams, nil)
+				}
+				cur = i
+			}
+			streams[cur] = append(streams[cur], workload.Query{
+				ID:          ln.Q,
+				ArrivalS:    ln.T,
 				Size:        int(ln.V),
 				SparseScale: ln.Aux,
 			})
@@ -137,7 +147,7 @@ func ReadTrace(r io.Reader) (*TraceSource, error) {
 				return nil, fmt.Errorf("trace line %d: offer slice %g must be finite and > 0", lineNo, ln.Aux)
 			}
 			if _, dup := ts.offers[key]; dup {
-				return nil, fmt.Errorf("trace line %d: duplicate offer for interval %d model %s", lineNo, *ln.I, *ln.M)
+				return nil, fmt.Errorf("trace line %d: duplicate offer for interval %d model %s", lineNo, ln.I, ln.M)
 			}
 			ts.offers[key] = traceOffer{qps: ln.V, sliceS: ln.Aux}
 		default:
@@ -145,25 +155,31 @@ func ReadTrace(r io.Reader) (*TraceSource, error) {
 			// carry replay state.
 			continue
 		}
-		if *ln.I+1 > ts.steps {
-			ts.steps = *ln.I + 1
+		if ln.I+1 > ts.steps {
+			ts.steps = ln.I + 1
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("trace line %d: %w", lineNo+1, err)
 	}
-	if len(ts.arrivals) == 0 && len(ts.offers) == 0 {
+	if len(keys) == 0 && len(ts.offers) == 0 {
 		return nil, fmt.Errorf("empty trace: no arrival or offer events")
 	}
 
 	// Canonicalize: per-(interval, model) streams in query-ID order —
 	// the generation order of the recording run (IDs are assigned as
 	// queries arrive), restored regardless of how shard interleaving
-	// ordered the exported lines. The sorted stream is where duplicate
-	// IDs and backwards timestamps become detectable.
+	// ordered the exported lines. A recording usually lists each stream
+	// in ID order already, and then the sort is skipped. The sorted
+	// stream is where duplicate IDs and backwards timestamps become
+	// detectable.
 	seen := make(map[string]bool)
-	for key, qs := range ts.arrivals {
-		sort.Slice(qs, func(a, b int) bool { return qs[a].ID < qs[b].ID })
+	for i, key := range keys {
+		qs := streams[i]
+		ts.arrivals[key] = qs
+		if !slices.IsSortedFunc(qs, byQueryID) {
+			slices.SortFunc(qs, byQueryID)
+		}
 		for j := 1; j < len(qs); j++ {
 			if qs[j].ID == qs[j-1].ID {
 				return nil, fmt.Errorf("duplicate query id %d in interval %d model %s", qs[j].ID, key.interval, key.model)
@@ -185,15 +201,17 @@ func ReadTrace(r io.Reader) (*TraceSource, error) {
 	return ts, nil
 }
 
+func byQueryID(a, b workload.Query) int { return cmp.Compare(a.ID, b.ID) }
+
 // validArrival checks one arrival line's payload: a positive query ID,
 // a finite non-negative arrival instant, an integral size >= 1, and a
 // finite positive sparse scale.
-func validArrival(ln traceLine) error {
-	if *ln.Q <= 0 {
-		return fmt.Errorf("arrival query id %d must be >= 1", *ln.Q)
+func validArrival(ln *traceRecord) error {
+	if ln.Q <= 0 {
+		return fmt.Errorf("arrival query id %d must be >= 1", ln.Q)
 	}
-	if !isFinite(*ln.T) || *ln.T < 0 {
-		return fmt.Errorf("arrival time %g must be finite and >= 0", *ln.T)
+	if !isFinite(ln.T) || ln.T < 0 {
+		return fmt.Errorf("arrival time %g must be finite and >= 0", ln.T)
 	}
 	if !isFinite(ln.V) || ln.V < 1 || ln.V != math.Trunc(ln.V) || ln.V > math.MaxInt32 {
 		return fmt.Errorf("arrival size %g must be an integer >= 1", ln.V)
