@@ -1,95 +1,67 @@
 package fleet
 
 import (
-	"bytes"
-	"errors"
-	"fmt"
+	"encoding/json"
 	"strconv"
-	"unicode"
-	"unicode/utf16"
 	"unicode/utf8"
 )
 
-// traceRecord is one decoded NDJSON trace line. The has mask tells a
-// missing (or null) required key from a zero value; v and aux default
-// to zero.
+// traceRecord is one decoded NDJSON trace line. complete reports that
+// every required key (i, k, m, q, t) was present and not null; v and
+// aux default to zero.
 type traceRecord struct {
-	I      int
-	K, M   string
-	Q      int64
-	T      float64
-	V, Aux float64
-	has    uint8
+	I        int
+	K, M     string
+	Q        int64
+	T        float64
+	V, Aux   float64
+	complete bool
 }
 
-// Bits of traceRecord.has, one per required key.
-const (
-	hasI uint8 = 1 << iota
-	hasK
-	hasM
-	hasQ
-	hasT
-	hasRequired = hasI | hasK | hasM | hasQ | hasT
-)
-
-// The trace-line keys the reader decodes; every other key's value is
-// validated and skipped.
-const (
-	fieldNone = iota
-	fieldI
-	fieldK
-	fieldM
-	fieldQ
-	fieldT
-	fieldV
-	fieldAux
-)
-
-// traceFields describes each decoded field: its key, its Go type in
-// the reference struct (for error messages) and its has bit (0 for the
-// optional v and aux).
-var traceFields = [...]struct {
-	key, typ string
-	bit      uint8
-}{
-	fieldI:   {"i", "int", hasI},
-	fieldK:   {"k", "string", hasK},
-	fieldM:   {"m", "string", hasM},
-	fieldQ:   {"q", "int64", hasQ},
-	fieldT:   {"t", "float64", hasT},
-	fieldV:   {"v", "float64", 0},
-	fieldAux: {"aux", "float64", 0},
+// traceLine is the wire form of one NDJSON trace event as encoding/json
+// decodes it. Required fields are pointers so a missing key is
+// distinguishable from a zero value.
+type traceLine struct {
+	I   *int     `json:"i"`
+	K   *string  `json:"k"`
+	M   *string  `json:"m"`
+	Q   *int64   `json:"q"`
+	T   *float64 `json:"t"`
+	V   float64  `json:"v"`
+	Aux float64  `json:"aux"`
 }
 
-// maxNestingDepth is encoding/json's nesting limit, counting the
-// line's own object as depth 1.
-const maxNestingDepth = 10000
+// record converts an encoding/json decode to the reader's form.
+func (ln *traceLine) record() traceRecord {
+	rec := traceRecord{V: ln.V, Aux: ln.Aux}
+	rec.complete = ln.I != nil && ln.K != nil && ln.M != nil && ln.Q != nil && ln.T != nil
+	if ln.I != nil {
+		rec.I = *ln.I
+	}
+	if ln.K != nil {
+		rec.K = *ln.K
+	}
+	if ln.M != nil {
+		rec.M = *ln.M
+	}
+	if ln.Q != nil {
+		rec.Q = *ln.Q
+	}
+	if ln.T != nil {
+		rec.T = *ln.T
+	}
+	return rec
+}
 
-var errUnexpectedEnd = errors.New("unexpected end of JSON input")
-
-// lineDecoder decodes the flat JSON object of one trace line straight
-// from its bytes. It accepts and rejects exactly what encoding/json
-// accepts and rejects when unmarshaling the line into a struct with
-// the fields i (int), k, m (*string), q (int64), t, v and aux
-// (float64), and it decodes the same values: key matching falls back
-// to encoding/json's case folding, null clears i, k, m, q and t but
-// leaves v and aux alone, the last of duplicate keys wins, numbers go
-// through the same strconv parse, and strings are unquoted with the
-// same replacement of invalid UTF-8 and unpaired surrogates by U+FFFD.
-// FuzzTraceLineDecode holds it to that against encoding/json itself.
-//
-// Lines in the writer's own arrival and offer layout take a fast path
-// (canonical) that allocates nothing once the line's model and kind
-// names are interned; every other line takes the general path.
+// lineDecoder decodes trace lines. Lines in the writer's own arrival
+// and offer layout take a fast path (canonical) that reads the values
+// straight from the bytes and allocates nothing once the line's model
+// and kind names are interned. Every other line goes through
+// encoding/json into traceLine, so it gets encoding/json's grammar,
+// semantics and error text. FuzzTraceLineDecode holds the fast path to
+// that reference.
 type lineDecoder struct {
 	intern map[string]string
-	// lastK and lastM are the previous line's k and m.
-	lastK, lastM string
-
-	// The general path's line, read position and unquoting scratch.
-	data []byte
-	pos  int
-	buf  []byte
 }
 
 func newLineDecoder() *lineDecoder {
@@ -101,81 +73,52 @@ func (d *lineDecoder) decode(line []byte, rec *traceRecord) error {
 	if d.canonical(line, rec) {
 		return nil
 	}
-	return d.general(line, rec)
+	var ln traceLine
+	if err := json.Unmarshal(line, &ln); err != nil {
+		return err
+	}
+	*rec = ln.record()
+	return nil
 }
 
 // interned returns s as a string, allocating only the first time the
-// decoder meets its bytes. *last is the field's previous value, which
-// the next line nearly always repeats.
-func (d *lineDecoder) interned(s []byte, last *string) string {
-	if string(s) == *last {
-		return *last
-	}
+// decoder meets its bytes.
+func (d *lineDecoder) interned(s []byte) string {
 	v, ok := d.intern[string(s)]
 	if !ok {
 		v = string(s)
 		d.intern[v] = v
 	}
-	*last = v
 	return v
-}
-
-// setNumber parses the JSON number num into numeric field f the way
-// encoding/json parses it for the field's Go type.
-func (rec *traceRecord) setNumber(f int, num []byte) error {
-	var err error
-	switch f {
-	case fieldI:
-		var n int64
-		n, err = strconv.ParseInt(string(num), 10, strconv.IntSize)
-		rec.I = int(n)
-	case fieldQ:
-		rec.Q, err = strconv.ParseInt(string(num), 10, 64)
-	case fieldT:
-		rec.T, err = strconv.ParseFloat(string(num), 64)
-	case fieldV:
-		rec.V, err = strconv.ParseFloat(string(num), 64)
-	case fieldAux:
-		rec.Aux, err = strconv.ParseFloat(string(num), 64)
-	}
-	if err != nil {
-		return unmarshalError("number "+string(num), f)
-	}
-	return nil
-}
-
-func unmarshalError(what string, f int) error {
-	return fmt.Errorf("cannot unmarshal %s into field %s of type %s", what, traceFields[f].key, traceFields[f].typ)
 }
 
 // canonical decodes an arrival or offer line laid out exactly as
 // telemetry.NDJSONWriter writes it — keys in writer order, no
 // whitespace, strings of printable ASCII without escapes — and reports
-// false on any other layout, leaving the line to the general path.
-// Within that layout both paths decode the same bytes to the same
-// values; only the general path reports errors.
+// false on any other layout or on a value encoding/json would reject.
+// Numbers go through the strconv parse encoding/json uses, so the
+// decoded values are bit-identical to its decode.
 func (d *lineDecoder) canonical(b []byte, rec *traceRecord) bool {
 	c := cursor{b: b, ok: true}
 	c.lit(`{"i":`)
-	c.number(rec, fieldI)
+	i := c.int(strconv.IntSize)
 	c.lit(`,"k":`)
 	k := c.plain()
 	c.lit(`,"m":`)
 	m := c.plain()
 	c.lit(`,"q":`)
-	c.number(rec, fieldQ)
+	q := c.int(64)
 	c.lit(`,"t":`)
-	c.number(rec, fieldT)
+	t := c.float()
 	c.lit(`,"v":`)
-	c.number(rec, fieldV)
+	v := c.float()
 	c.lit(`,"aux":`)
-	c.number(rec, fieldAux)
+	aux := c.float()
 	c.lit(`}`)
 	if !c.ok || c.p != len(b) {
 		return false
 	}
-	rec.K, rec.M = d.interned(k, &d.lastK), d.interned(m, &d.lastM)
-	rec.has = hasRequired
+	*rec = traceRecord{I: int(i), K: d.interned(k), M: d.interned(m), Q: q, T: t, V: v, Aux: aux, complete: true}
 	return true
 }
 
@@ -216,51 +159,70 @@ func (c *cursor) plain() []byte {
 	return nil
 }
 
-// number reads a JSON number into field f of rec.
-func (c *cursor) number(rec *traceRecord, f int) {
+// int reads a JSON number as a signed integer of the given bit size.
+func (c *cursor) int(bitSize int) int64 {
+	num := c.number()
 	if !c.ok {
-		return
+		return 0
 	}
-	end, ok := numberEnd(c.b, c.p)
-	c.ok = ok && rec.setNumber(f, c.b[c.p:end]) == nil
-	c.p = end
+	n, err := strconv.ParseInt(string(num), 10, bitSize)
+	c.ok = err == nil
+	return n
 }
 
-// numberEnd returns the end of the JSON number
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? that starts at b[p],
-// or, with ok false, the position where the grammar breaks.
-func numberEnd(b []byte, p int) (end int, ok bool) {
+// float reads a JSON number as a float64.
+func (c *cursor) float() float64 {
+	num := c.number()
+	if !c.ok {
+		return 0
+	}
+	f, err := strconv.ParseFloat(string(num), 64)
+	c.ok = err == nil
+	return f
+}
+
+// number reads the JSON number -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+// at the cursor.
+func (c *cursor) number() []byte {
+	if !c.ok {
+		return nil
+	}
+	b, start := c.b, c.p
+	p := start
 	if p < len(b) && b[p] == '-' {
 		p++
 	}
 	switch {
 	case p == len(b):
-		return p, false
+		c.ok = false
 	case b[p] == '0':
 		p++
 	case '1' <= b[p] && b[p] <= '9':
 		p = digitsEnd(b, p+1)
 	default:
-		return p, false
+		c.ok = false
 	}
-	if p < len(b) && b[p] == '.' {
-		p++
-		if p == len(b) || b[p] < '0' || b[p] > '9' {
-			return p, false
-		}
-		p = digitsEnd(b, p+1)
+	if c.ok && p < len(b) && b[p] == '.' {
+		p, c.ok = digitsAfter(b, p+1)
 	}
-	if p < len(b) && (b[p] == 'e' || b[p] == 'E') {
+	if c.ok && p < len(b) && (b[p] == 'e' || b[p] == 'E') {
 		p++
 		if p < len(b) && (b[p] == '+' || b[p] == '-') {
 			p++
 		}
-		if p == len(b) || b[p] < '0' || b[p] > '9' {
-			return p, false
-		}
-		p = digitsEnd(b, p+1)
+		p, c.ok = digitsAfter(b, p)
 	}
-	return p, true
+	c.p = p
+	return b[start:p]
+}
+
+// digitsAfter returns the end of the run of at least one digit that
+// starts at b[p], or false when there is none.
+func digitsAfter(b []byte, p int) (int, bool) {
+	if p == len(b) || b[p] < '0' || b[p] > '9' {
+		return p, false
+	}
+	return digitsEnd(b, p+1), true
 }
 
 func digitsEnd(b []byte, p int) int {
@@ -268,346 +230,4 @@ func digitsEnd(b []byte, p int) int {
 		p++
 	}
 	return p
-}
-
-// general decodes a line of any layout, validating all of it.
-func (d *lineDecoder) general(line []byte, rec *traceRecord) error {
-	*rec = traceRecord{}
-	d.data, d.pos = line, 0
-	c, err := d.next()
-	if err != nil {
-		return err
-	}
-	switch c {
-	case '{':
-		err = d.container(c, 1, rec)
-	case 'n':
-		err = d.literal("null") // leaves the struct as it was
-	default:
-		err = d.value(0)
-	}
-	if err != nil {
-		return err
-	}
-	if d.skipSpace(); d.pos < len(d.data) {
-		return d.syntax("after top-level value")
-	}
-	if c != '{' && c != 'n' {
-		return fmt.Errorf("cannot unmarshal %s into a trace line object", valueName(c))
-	}
-	return nil
-}
-
-func (d *lineDecoder) skipSpace() {
-	for d.pos < len(d.data) {
-		switch d.data[d.pos] {
-		case ' ', '\t', '\n', '\r':
-			d.pos++
-		default:
-			return
-		}
-	}
-}
-
-// next skips whitespace and returns the byte there, or an error at the
-// end of the line.
-func (d *lineDecoder) next() (byte, error) {
-	if d.skipSpace(); d.pos == len(d.data) {
-		return 0, errUnexpectedEnd
-	}
-	return d.data[d.pos], nil
-}
-
-func (d *lineDecoder) syntax(context string) error {
-	return fmt.Errorf("invalid character %q %s", d.data[d.pos], context)
-}
-
-// container consumes the object or array that c opens at d.pos, at
-// nesting depth depth. The members of the line's own object (rec not
-// nil) decode into rec; everything else is only validated.
-func (d *lineDecoder) container(c byte, depth int, rec *traceRecord) error {
-	if depth > maxNestingDepth {
-		return errors.New("exceeded max depth")
-	}
-	closer := byte(']')
-	if c == '{' {
-		closer = '}'
-	}
-	d.pos++
-	b, err := d.next()
-	if err != nil {
-		return err
-	}
-	if b == closer {
-		d.pos++
-		return nil
-	}
-	for {
-		if c == '{' {
-			if b != '"' {
-				return d.syntax("looking for beginning of object key string")
-			}
-			var key []byte
-			if key, err = d.str(); err != nil {
-				return err
-			}
-			f := fieldOf(key)
-			if b, err = d.next(); err != nil {
-				return err
-			}
-			if b != ':' {
-				return d.syntax("after object key")
-			}
-			d.pos++
-			if _, err = d.next(); err != nil {
-				return err
-			}
-			if rec != nil && f != fieldNone {
-				err = d.field(f, rec)
-			} else {
-				err = d.value(depth)
-			}
-		} else {
-			err = d.value(depth)
-		}
-		if err != nil {
-			return err
-		}
-		if b, err = d.next(); err != nil {
-			return err
-		}
-		switch b {
-		case ',':
-			d.pos++
-			if b, err = d.next(); err != nil {
-				return err
-			}
-		case closer:
-			d.pos++
-			return nil
-		default:
-			return d.syntax("after " + valueName(c) + " element")
-		}
-	}
-}
-
-// value validates and consumes the JSON value at d.pos, inside a
-// container at nesting depth depth.
-func (d *lineDecoder) value(depth int) error {
-	var err error
-	switch c := d.data[d.pos]; {
-	case c == '"':
-		_, err = d.str()
-	case c == '-' || '0' <= c && c <= '9':
-		_, err = d.number()
-	case c == 't':
-		err = d.literal("true")
-	case c == 'f':
-		err = d.literal("false")
-	case c == 'n':
-		err = d.literal("null")
-	case c == '{' || c == '[':
-		err = d.container(c, depth+1, nil)
-	default:
-		err = d.syntax("looking for beginning of value")
-	}
-	return err
-}
-
-// field decodes the value at d.pos into field f of rec.
-func (d *lineDecoder) field(f int, rec *traceRecord) error {
-	switch c := d.data[d.pos]; {
-	case c == 'n':
-		if err := d.literal("null"); err != nil {
-			return err
-		}
-		// null resets a pointer field to nil and leaves a plain
-		// float64 (v, aux) as it was.
-		switch f {
-		case fieldI:
-			rec.I = 0
-		case fieldK:
-			rec.K = ""
-		case fieldM:
-			rec.M = ""
-		case fieldQ:
-			rec.Q = 0
-		case fieldT:
-			rec.T = 0
-		}
-		rec.has &^= traceFields[f].bit
-		return nil
-	case f == fieldK || f == fieldM:
-		if c != '"' {
-			return d.mismatch(c, f)
-		}
-		s, err := d.str()
-		if err != nil {
-			return err
-		}
-		if f == fieldK {
-			rec.K = d.interned(s, &d.lastK)
-		} else {
-			rec.M = d.interned(s, &d.lastM)
-		}
-	case c != '-' && (c < '0' || c > '9'):
-		return d.mismatch(c, f)
-	default:
-		num, err := d.number()
-		if err != nil {
-			return err
-		}
-		if err := rec.setNumber(f, num); err != nil {
-			return err
-		}
-	}
-	rec.has |= traceFields[f].bit
-	return nil
-}
-
-// mismatch consumes the value at d.pos (so a syntax error inside it
-// still reads as one) and reports it as the wrong type for field f.
-func (d *lineDecoder) mismatch(c byte, f int) error {
-	if err := d.value(1); err != nil {
-		return err
-	}
-	return unmarshalError(valueName(c), f)
-}
-
-func valueName(c byte) string {
-	switch c {
-	case '{':
-		return "object"
-	case '[':
-		return "array"
-	case '"':
-		return "string"
-	case 't', 'f':
-		return "bool"
-	}
-	return "number"
-}
-
-// fieldOf matches a decoded key to a field as encoding/json does:
-// exactly or, failing that, under Unicode simple case folding (so the
-// Kelvin sign U+212A matches k). No two field names fold alike, so one
-// EqualFold pass finds the same field.
-func fieldOf(key []byte) int {
-	for f := fieldI; f <= fieldAux; f++ {
-		if bytes.EqualFold(key, []byte(traceFields[f].key)) {
-			return f
-		}
-	}
-	return fieldNone
-}
-
-// literal consumes the literal word (true, false or null) at d.pos.
-func (d *lineDecoder) literal(word string) error {
-	for i := 0; i < len(word); i++ {
-		if d.pos == len(d.data) {
-			return errUnexpectedEnd
-		}
-		if d.data[d.pos] != word[i] {
-			return d.syntax("in literal " + word)
-		}
-		d.pos++
-	}
-	return nil
-}
-
-// number consumes the JSON number at d.pos.
-func (d *lineDecoder) number() ([]byte, error) {
-	start := d.pos
-	end, ok := numberEnd(d.data, start)
-	d.pos = end
-	switch {
-	case ok:
-		return d.data[start:end], nil
-	case end == len(d.data):
-		return nil, errUnexpectedEnd
-	}
-	return nil, d.syntax("in numeric literal")
-}
-
-// str consumes the JSON string at d.pos and returns it unquoted into
-// the decoder's scratch buffer, valid until the next str: escapes
-// resolved, invalid UTF-8 replaced by U+FFFD.
-func (d *lineDecoder) str() ([]byte, error) {
-	b := d.buf[:0]
-	for d.pos++; d.pos < len(d.data); {
-		switch c := d.data[d.pos]; {
-		case c == '"':
-			d.pos++
-			d.buf = b
-			return b, nil
-		case c < ' ':
-			return nil, d.syntax("in string literal")
-		case c == '\\':
-			r, n, err := d.escape()
-			if err != nil {
-				return nil, err
-			}
-			b = utf8.AppendRune(b, r)
-			d.pos += n
-		case c < utf8.RuneSelf:
-			b = append(b, c)
-			d.pos++
-		default:
-			r, n := utf8.DecodeRune(d.data[d.pos:])
-			b = utf8.AppendRune(b, r)
-			d.pos += n
-		}
-	}
-	return nil, errUnexpectedEnd
-}
-
-// escape decodes the escape sequence at d.pos into its rune and byte
-// length. A \u high surrogate pairs with an immediately following \u
-// low surrogate; an unpaired surrogate decodes to U+FFFD, and the
-// escape after it decodes on its own.
-func (d *lineDecoder) escape() (rune, int, error) {
-	s := d.data[d.pos:]
-	if len(s) < 2 {
-		return 0, 0, errUnexpectedEnd
-	}
-	switch s[1] {
-	case '"', '\\', '/':
-		return rune(s[1]), 2, nil
-	case 'b':
-		return '\b', 2, nil
-	case 'f':
-		return '\f', 2, nil
-	case 'n':
-		return '\n', 2, nil
-	case 'r':
-		return '\r', 2, nil
-	case 't':
-		return '\t', 2, nil
-	case 'u':
-		r, ok := hex4(s)
-		if !ok {
-			return 0, 0, fmt.Errorf("invalid \\u escape %q in string literal", s[:min(len(s), 6)])
-		}
-		if !utf16.IsSurrogate(r) {
-			return r, 6, nil
-		}
-		if r2, ok := hex4(s[6:]); ok {
-			if pair := utf16.DecodeRune(r, r2); pair != unicode.ReplacementChar {
-				return pair, 12, nil
-			}
-		}
-		return unicode.ReplacementChar, 6, nil
-	}
-	d.pos++
-	return 0, 0, d.syntax("in string escape code")
-}
-
-// hex4 reads the \uXXXX escape that s starts with.
-func hex4(s []byte) (rune, bool) {
-	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
-		return 0, false
-	}
-	// Base 16 without a prefix: exactly the hex digits, no sign.
-	n, err := strconv.ParseUint(string(s[2:6]), 16, 32)
-	return rune(n), err == nil
 }

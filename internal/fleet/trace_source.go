@@ -104,7 +104,7 @@ func ReadTrace(r io.Reader) (*TraceSource, error) {
 		if err := dec.decode(raw, &ln); err != nil {
 			return nil, fmt.Errorf("trace line %d: %w", lineNo, err)
 		}
-		if ln.has != hasRequired {
+		if !ln.complete {
 			return nil, fmt.Errorf("trace line %d: missing required field (want i, k, m, q, t)", lineNo)
 		}
 		kind, ok := telemetry.KindByName(ln.K)
@@ -169,17 +169,13 @@ func ReadTrace(r io.Reader) (*TraceSource, error) {
 	// Canonicalize: per-(interval, model) streams in query-ID order —
 	// the generation order of the recording run (IDs are assigned as
 	// queries arrive), restored regardless of how shard interleaving
-	// ordered the exported lines. A recording usually lists each stream
-	// in ID order already, and then the sort is skipped. The sorted
-	// stream is where duplicate IDs and backwards timestamps become
-	// detectable.
+	// ordered the exported lines. The sorted stream is where duplicate
+	// IDs and backwards timestamps become detectable.
 	seen := make(map[string]bool)
 	for i, key := range keys {
 		qs := streams[i]
 		ts.arrivals[key] = qs
-		if !slices.IsSortedFunc(qs, byQueryID) {
-			slices.SortFunc(qs, byQueryID)
-		}
+		slices.SortFunc(qs, byQueryID)
 		for j := 1; j < len(qs); j++ {
 			if qs[j].ID == qs[j-1].ID {
 				return nil, fmt.Errorf("duplicate query id %d in interval %d model %s", qs[j].ID, key.interval, key.model)
