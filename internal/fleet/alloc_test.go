@@ -94,3 +94,41 @@ func TestRouteAndArriveZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolDispatchZeroAlloc: handing a warm interval's tasks to the
+// day's worker pool must not allocate — tasks travel as pointers behind
+// the task interface, never as per-task closures. The last interval's
+// per-model tails phase is re-run for the measurement: it rewrites each
+// model's range of the latency buffer from the shard windows, so it is
+// idempotent, and it allocates nothing itself.
+func TestPoolDispatchZeroAlloc(t *testing.T) {
+	opts := testOpts()
+	opts.Shards = 4
+	e := twoModelEngine(opts)
+	if err := e.beginDay(twoModelWorkloads()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < e.run.steps; i++ {
+		e.stepInterval(i, nil)
+	}
+	scr := &e.scratch
+	if scr.work == nil {
+		t.Fatal("the parallel replay started no worker pool")
+	}
+	models := scr.models[:2]
+	for _, mw := range models {
+		if mw.phase != phaseTails || len(mw.shards) < 2 {
+			t.Fatalf("model %s: phase %d with %d shards, want a sharded tails phase",
+				mw.name, mw.phase, len(mw.shards))
+		}
+	}
+	p99 := models[0].p99
+	avg := testing.AllocsPerRun(100, func() { runPhase(scr, models) })
+	e.endDay()
+	if avg != 0 {
+		t.Errorf("%.2f allocs per pooled phase, want 0", avg)
+	}
+	if models[0].p99 != p99 {
+		t.Errorf("re-running the tails phase moved p99: %v -> %v", p99, models[0].p99)
+	}
+}

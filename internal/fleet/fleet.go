@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -186,31 +187,24 @@ type modelObs struct {
 }
 
 // replayScratch holds the buffers one RunDay reuses across intervals so
-// the replay loop stops allocating after the first interval: the query
-// generation buffer, the shard task pool, and the latency merge
-// buffers. An Engine must not run concurrent RunDays (it never could —
-// the provisioner and autoscaler are also per-engine state).
+// the replay loop stops allocating after the first interval: the shard
+// and per-model task pools, the interval latency buffer each model
+// reads its tails in place from, and the window verdicts. An Engine
+// must not run concurrent RunDays (it never could — the provisioner and
+// autoscaler are also per-engine state).
 type replayScratch struct {
-	queries  []workload.Query
 	shards   []*shardWork // grown on demand, reused each interval
 	used     int
 	tasks    []*shardWork
-	winBuf   []float64
-	modelBuf []float64
+	models   []*modelWork // one per model, grown on demand
 	allBuf   []float64
 	breached []bool
-
-	// shedBuf stages engine-level trace events (arrival + shed for
-	// sampled queries rejected at admission) per model; winSk, modelSk
-	// and allSk are the reused merge targets of the SketchTails path.
-	shedBuf telemetry.ShardBuf
-	winSk   stats.Sketch
-	modelSk stats.Sketch
-	allSk   stats.Sketch
+	// allSk is the reused interval merge target of the SketchTails path.
+	allSk stats.Sketch
 
 	// Bounded worker pool for one RunDay: workers drain work and tick
-	// wg once per completed shard.
-	work chan *shardWork
+	// wg once per completed task.
+	work chan task
 	wg   sync.WaitGroup
 }
 
@@ -499,20 +493,21 @@ func (e *Engine) beginDay(ws []cluster.Workload) error {
 		e.gridTL = tl
 	}
 
-	// One bounded worker pool serves the whole day: started here, fed a
-	// batch of independent shards per interval, drained by endDay. Shard
-	// RNG streams are seeded per (interval, model, shard), so scheduling
+	// One bounded worker pool serves the whole day: started here, fed
+	// each interval's per-model and per-shard phases as batches of
+	// independent tasks, drained by endDay. RNG streams are seeded per
+	// (interval, model) and (interval, model, shard), so scheduling
 	// order cannot leak into results.
 	if !e.Opts.Sequential {
 		// Capped at 16: shard counts rarely exceed Shards × models, and
 		// an unbounded pool would make the replay's (small, gated)
 		// allocation profile scale with the host's core count.
 		workers := min(runtime.NumCPU(), 16)
-		e.scratch.work = make(chan *shardWork, workers)
+		e.scratch.work = make(chan task, workers)
 		for w := 0; w < workers; w++ {
-			go func(work <-chan *shardWork) {
+			go func(work <-chan task) {
 				for t := range work {
-					t.run()
+					t.do()
 					e.scratch.wg.Done()
 				}
 			}(e.scratch.work)
@@ -1342,6 +1337,234 @@ func (w *shardWork) record(instID int, comps []Completion) {
 	}
 }
 
+// task is one unit of an interval phase on the day's worker pool: a
+// shard replay (*shardWork) or a per-model phase (*modelWork). Tasks
+// travel as pointers behind this interface, so handing one to the pool
+// allocates nothing.
+type task interface{ do() }
+
+func (w *shardWork) do() { w.run() }
+
+// runPhase runs one interval phase's independent tasks on the day's
+// worker pool, or in place when the replay is sequential or the phase
+// has a single task. Each task writes only its own state, so the
+// results are bit-identical either way.
+func runPhase[T task](sc *replayScratch, ts []T) {
+	if sc.work == nil || len(ts) <= 1 {
+		for _, t := range ts {
+			t.do()
+		}
+		return
+	}
+	sc.wg.Add(len(ts))
+	for _, t := range ts {
+		sc.work <- t
+	}
+	sc.wg.Wait()
+}
+
+// modelPhase selects the per-model phase modelWork.do runs.
+type modelPhase uint8
+
+const (
+	phasePrepare modelPhase = iota
+	phaseTails
+)
+
+// modelWork is one model's share of an interval: its shard tasks plus
+// the inputs and outputs of the two pooled per-model phases. prepare
+// fills the shards' query buffers; tails turns the shards' latencies
+// into the model's window breach verdicts and tail percentiles. The
+// replay goroutine sets every input before a phase runs, so a phase
+// never touches engine or policy state. Pooled by replayScratch and
+// reused across intervals.
+type modelWork struct {
+	phase  modelPhase
+	name   string
+	shards []*shardWork
+
+	// prepare: the stream's RNGs are seeded from (seed, idx, mi).
+	seed     int64
+	idx, mi  int
+	sliceS   float64
+	replayed bool             // copy recorded instead of generating
+	recorded []workload.Query // the trace's stream (read-only)
+	mdl      *model.Model
+	loadQPS  float64
+	mixScale float64 // the scenario's query-size mix shift
+	shedFrac float64
+	// queries stages the stream ahead of the shard split; a model with
+	// one shard builds its stream straight into that shard's buffer.
+	queries []workload.Query
+	// shedBuf stages the model's engine-level trace stream: the
+	// interval's offer record (the offered load and slice the replay
+	// provisioned with — what lets a recorded trace re-provision
+	// identically on re-ingestion), then arrival+shed pairs of sampled
+	// shed queries. The replay goroutine ingests it ahead of the shard
+	// events, in model order.
+	shedBuf telemetry.ShardBuf
+	traceOn bool
+	shed    int
+
+	// tails: lat is the model's disjoint range of the interval latency
+	// buffer (exact path), winSk and modelSk the sketch path's merge
+	// targets.
+	useSketch bool
+	tailPct   float64
+	limitMS   float64 // breach threshold: SLA × the scaler's factor
+	lat       []float64
+	winSk     stats.Sketch
+	modelSk   stats.Sketch
+	breached  []bool // per window
+	p95, p99  float64
+}
+
+func (mw *modelWork) do() {
+	if mw.phase == phaseTails {
+		mw.tails()
+		return
+	}
+	mw.prepare()
+}
+
+// prepare builds the model's stream — generated, or copied from the
+// recorded trace — thins it by the shed fraction, and splits it onto
+// the shards by deterministic draws, which preserves the Poisson
+// property per shard and makes parallel replay bit-identical to
+// sequential replay.
+func (mw *modelWork) prepare() {
+	dst := &mw.queries
+	if len(mw.shards) == 1 {
+		dst = &mw.shards[0].queries
+	}
+	qs := (*dst)[:0]
+	if mw.replayed {
+		// Copied before the in-place shed thinning below. Mix shifts are
+		// skipped along with load scaling — both are already baked into
+		// the recorded stream.
+		qs = append(qs, mw.recorded...)
+	} else {
+		gen := workload.NewGenerator(mw.mdl, mw.loadQPS, mixSeed(mw.seed, 0x9e37+int64(mw.idx), int64(mw.mi)))
+		if mw.mixScale != 1 {
+			// Shift the lognormal's median: the mix rotation makes every
+			// query mixScale× heavier without touching the arrival process.
+			gen.Sizes.Mu += math.Log(mw.mixScale)
+		}
+		qs = gen.AppendUntil(qs, mw.sliceS)
+	}
+	if mw.shedFrac > 0 {
+		// Admission control drops a deterministic Bernoulli thinning of
+		// the stream (in place); shed queries never reach a router.
+		shedR := stats.NewRand(mixSeed(mw.seed, 0x5ed0+int64(mw.idx), int64(mw.mi)))
+		kept := qs[:0]
+		for _, q := range qs {
+			if shedR.Float64() < mw.shedFrac {
+				mw.shed++
+				if mw.traceOn && mw.shedBuf.Sampled(q.ID) {
+					ev := mw.shedBuf.Emit(telemetry.KindArrival, q.ID, q.ArrivalS)
+					ev.Value = float64(q.Size)
+					ev.Aux = q.SparseScale
+					ev = mw.shedBuf.Emit(telemetry.KindShed, q.ID, q.ArrivalS)
+					ev.Value = mw.shedFrac
+				}
+				continue
+			}
+			kept = append(kept, q)
+		}
+		qs = kept
+	}
+	*dst = qs
+	if n := len(mw.shards); n > 1 {
+		split := stats.NewRand(mixSeed(mw.seed, 0x517+int64(mw.idx), int64(mw.mi)))
+		for _, q := range qs {
+			sh := mw.shards[split.Intn(n)]
+			sh.queries = append(sh.queries, q)
+		}
+	}
+}
+
+// tails reads the model's window breach verdicts and its p95 and p99.
+// The exact path copies each window's shard latencies (in ms) into that
+// window's sub-range of lat and selects the breach percentile in place
+// there, then selects p95 and p99 on the whole range. The sketch path
+// merges the shards' window sketches (bucket-wise, order-independent)
+// into window sketches and those into the model sketch; no latency
+// sample is buffered.
+func (mw *modelWork) tails() {
+	if mw.useSketch {
+		armSketch(&mw.modelSk)
+		for w := range mw.breached {
+			armSketch(&mw.winSk)
+			drops := 0
+			for _, sh := range mw.shards {
+				mw.winSk.Merge(&sh.winSk[w])
+				drops += sh.winDrops[w]
+			}
+			mw.breached[w] = drops > 0 || (mw.winSk.Count() > 0 && mw.winSk.Quantile(mw.tailPct) > mw.limitMS)
+			mw.modelSk.Merge(&mw.winSk)
+		}
+		mw.p95, mw.p99 = mw.modelSk.Quantile(95), mw.modelSk.Quantile(99)
+		return
+	}
+	off := 0
+	for w := range mw.breached {
+		start, drops := off, 0
+		for _, sh := range mw.shards {
+			dst := mw.lat[off : off+len(sh.winLatS[w])]
+			for i, l := range sh.winLatS[w] {
+				dst[i] = l * 1e3
+			}
+			off += len(dst)
+			drops += sh.winDrops[w]
+		}
+		win := mw.lat[start:off]
+		mw.breached[w] = drops > 0 || (len(win) > 0 && stats.PercentileSelect(win, mw.tailPct) > mw.limitMS)
+	}
+	var out [2]float64
+	stats.PercentilesSelect(mw.lat, []float64{95, 99}, out[:])
+	mw.p95, mw.p99 = out[0], out[1]
+}
+
+// latencies counts the exact-path latency samples the model's shards
+// recorded — the size of its range of the interval buffer.
+func (mw *modelWork) latencies() int {
+	n := 0
+	for _, sh := range mw.shards {
+		for _, win := range sh.winLatS {
+			n += len(win)
+		}
+	}
+	return n
+}
+
+// shedFrac composes the two shedding sources at one model's door: the
+// scenario's load-shedding drills and the engine's admission policy,
+// which conditions on what the previous interval observed. Independent
+// Bernoulli thinnings compose multiplicatively. Called once per
+// (interval, model), on the replay goroutine, in model order.
+func (e *Engine) shedFrac(idx int, m string, slaMS, loadQPS float64, eff scenario.Effects) float64 {
+	frac := eff.Shed(m)
+	if e.Admission == nil {
+		return frac
+	}
+	prev := e.prevObs[m]
+	sig := AdmissionSignal{
+		Model:        m,
+		SLATargetMS:  slaMS,
+		OfferedQPS:   loadQPS,
+		PrevP99MS:    prev.p99MS,
+		PrevDropFrac: prev.dropFrac,
+	}
+	if e.gridTL != nil {
+		sig.GridGPerKWh = e.gridTL.At(idx)
+		sig.GridMeanGPerKWh = e.gridTL.MeanG()
+		sig.DeferrableFrac = e.Grid.Deferrable()
+	}
+	af := e.Admission.ShedFrac(sig)
+	af = math.Min(math.Max(af, 0), 0.95)
+	return 1 - (1-frac)*(1-af)
+}
+
 // replayInterval simulates one interval's sampled slice and
 // extrapolates interval metrics. eff carries the interval's scenario
 // traffic effects: query-size mix shifts rescale each generator's size
@@ -1349,6 +1572,14 @@ func (w *shardWork) record(instID int, comps []Completion) {
 // routing (loads arrive already scaled by the caller; fleet effects are
 // already baked into insts). A non-nil adj marks the inbound share of
 // each model's load as remote-origin geo spill paying adj.rttS.
+//
+// The interval runs in phases. Set-up (serial) builds every model's
+// shard tasks and makes every call into a stateful policy — the cache
+// tier's warmth and the admission policy, which reads prevObs — in
+// model order. prepare (pooled, per model) builds each model's stream;
+// run (pooled, per shard) routes and queues it; tails (pooled, per
+// model) reads window verdicts and model tails. Accounting (serial)
+// folds the models together in model order.
 func (e *Engine) replayInterval(idx int, stepS float64, loads map[string]float64, insts map[string][]*Instance, eff scenario.Effects, adj *geoAdjust) IntervalStats {
 	ist := IntervalStats{
 		Index:      idx,
@@ -1389,12 +1620,21 @@ func (e *Engine) replayInterval(idx int, stepS float64, loads map[string]float64
 	windows := stats.ClampInt(int(sliceS/e.Opts.WindowS), 2, 600)
 	windowW := sliceS / float64(windows)
 	ist.Windows = windows
+	// Per-model windowed tails drive breach verdicts; the aggregate
+	// distribution drives the interval percentiles.
+	tailPct, slaFactor := 95.0, 1.0
+	if e.Scaler != nil {
+		tp, sf := e.Scaler.Thresholds()
+		if tp > 0 {
+			tailPct = tp
+		}
+		if sf > 0 {
+			slaFactor = sf
+		}
+	}
 
-	// Build shard tasks: queries are generated sequentially per model
-	// and thinned onto shards by deterministic draws, which preserves
-	// the Poisson property per shard and makes parallel replay
-	// bit-identical to sequential replay. Shard structs, query slices
-	// and window buckets all come from the engine's scratch pool.
+	// Set-up: shard structs, query slices and window buckets all come
+	// from the engine's scratch pool.
 	shardCap := e.Opts.Shards
 	if shardCap <= 0 {
 		shardCap = runtime.NumCPU()
@@ -1404,8 +1644,11 @@ func (e *Engine) replayInterval(idx int, stepS float64, loads map[string]float64
 	scr := &e.scratch
 	scr.used = 0
 	scr.tasks = scr.tasks[:0]
+	for len(scr.models) < len(names) {
+		scr.models = append(scr.models, &modelWork{})
+	}
+	models := scr.models[:len(names)]
 	cacheLatS := e.Cache.latencyS()
-	starts := make([]int, len(names)+1)
 	for mi, m := range names {
 		pool := insts[m]
 		sla := e.models[m].SLATargetMS
@@ -1422,7 +1665,7 @@ func (e *Engine) replayInterval(idx int, stepS float64, loads map[string]float64
 			remoteStream = remoteStreamSeed(e.Opts.Seed, idx, mh)
 		}
 		n := max(min(shardCap, len(pool)), 1)
-		starts[mi] = len(scr.tasks)
+		first := len(scr.tasks)
 		for s := 0; s < n; s++ {
 			sh := scr.shard()
 			sh.reset(windows, useSketch)
@@ -1445,112 +1688,49 @@ func (e *Engine) replayInterval(idx int, stepS float64, loads map[string]float64
 			}
 			scr.tasks = append(scr.tasks, sh)
 		}
-		shards := scr.tasks[starts[mi]:]
+		shards := scr.tasks[first:]
 		for j, in := range pool {
 			shards[j%n].insts = append(shards[j%n].insts, in)
 		}
-		var queries []workload.Query
-		if e.TraceSrc != nil {
-			// Recorded arrivals, copied before the in-place shed thinning
-			// below. Mix shifts are skipped along with load scaling — both
-			// are already baked into the recorded stream.
-			queries = append(scr.queries[:0], e.TraceSrc.Queries(idx, m)...)
-		} else {
-			gen := workload.NewGenerator(e.models[m], loads[m], mixSeed(e.Opts.Seed, 0x9e37+int64(idx), int64(mi)))
-			if sc := eff.Size(m); sc != 1 {
-				// Shift the lognormal's median: the mix rotation makes every
-				// query sc× heavier without touching the arrival process.
-				gen.Sizes.Mu += math.Log(sc)
-			}
-			queries = gen.AppendUntil(scr.queries[:0], sliceS)
+
+		mw := models[mi]
+		mw.phase = phasePrepare
+		mw.name = m
+		mw.shards = shards
+		mw.seed, mw.idx, mw.mi = e.Opts.Seed, idx, mi
+		mw.sliceS = sliceS
+		mw.replayed = e.TraceSrc != nil
+		mw.recorded = nil
+		if mw.replayed {
+			mw.recorded = e.TraceSrc.Queries(idx, m)
 		}
-		scr.queries = queries[:0]
-		// The model's engine-level trace stream: the interval's offer
-		// record (the offered load and slice the replay provisioned with
-		// — what lets a recorded trace re-provision identically on
-		// re-ingestion), then arrival+shed pairs of sampled shed queries.
-		// Staged per model and ingested ahead of the shard events, all on
-		// the replay goroutine, so the order is deterministic.
-		var shedBuf *telemetry.ShardBuf
+		mw.mdl = e.models[m]
+		mw.loadQPS = loads[m]
+		mw.mixScale = eff.Size(m)
+		mw.shedFrac = e.shedFrac(idx, m, sla, loads[m], eff)
+		mw.shed = 0
+		mw.traceOn = tr != nil
 		if tr != nil {
-			scr.shedBuf.Arm(tr, idx, m, mh)
-			shedBuf = &scr.shedBuf
-			ev := shedBuf.Emit(telemetry.KindOffer, -1, 0)
+			mw.shedBuf.Arm(tr, idx, m, mh)
+			ev := mw.shedBuf.Emit(telemetry.KindOffer, -1, 0)
 			ev.Value = loads[m]
 			ev.Aux = sliceS
 		}
-		// Two shedding sources compose at the door: the scenario's
-		// load-shedding drills and the engine's admission policy (which
-		// conditions on what the previous interval observed). Independent
-		// Bernoulli thinnings compose multiplicatively.
-		frac := eff.Shed(m)
-		if e.Admission != nil {
-			prev := e.prevObs[m]
-			sig := AdmissionSignal{
-				Model:        m,
-				SLATargetMS:  sla,
-				OfferedQPS:   loads[m],
-				PrevP99MS:    prev.p99MS,
-				PrevDropFrac: prev.dropFrac,
-			}
-			if e.gridTL != nil {
-				sig.GridGPerKWh = e.gridTL.At(idx)
-				sig.GridMeanGPerKWh = e.gridTL.MeanG()
-				sig.DeferrableFrac = e.Grid.Deferrable()
-			}
-			af := e.Admission.ShedFrac(sig)
-			af = math.Min(math.Max(af, 0), 0.95)
-			frac = 1 - (1-frac)*(1-af)
-		}
-		if frac > 0 {
-			// Admission control drops a deterministic Bernoulli thinning
-			// of the stream (in place); shed queries never reach a router.
-			shedR := stats.NewRand(mixSeed(e.Opts.Seed, 0x5ed0+int64(idx), int64(mi)))
-			kept := queries[:0]
-			for _, q := range queries {
-				if shedR.Float64() < frac {
-					ist.Shed++
-					if shedBuf != nil && shedBuf.Sampled(q.ID) {
-						ev := shedBuf.Emit(telemetry.KindArrival, q.ID, q.ArrivalS)
-						ev.Value = float64(q.Size)
-						ev.Aux = q.SparseScale
-						ev = shedBuf.Emit(telemetry.KindShed, q.ID, q.ArrivalS)
-						ev.Value = frac
-					}
-					continue
-				}
-				kept = append(kept, q)
-			}
-			queries = kept
-		}
-		if shedBuf != nil {
-			tr.Ingest(shedBuf.Events())
-		}
-		split := stats.NewRand(mixSeed(e.Opts.Seed, 0x517+int64(idx), int64(mi)))
-		for _, q := range queries {
-			s := 0
-			if n > 1 {
-				s = split.Intn(n)
-			}
-			shards[s].queries = append(shards[s].queries, q)
-		}
-	}
-	starts[len(names)] = len(scr.tasks)
-
-	// Execute: the day's bounded worker pool, or in place when
-	// sequential (results are bit-identical either way).
-	if scr.work == nil || len(scr.tasks) == 1 {
-		for _, t := range scr.tasks {
-			t.run()
-		}
-	} else {
-		scr.wg.Add(len(scr.tasks))
-		for _, t := range scr.tasks {
-			scr.work <- t
-		}
-		scr.wg.Wait()
+		mw.useSketch = useSketch
+		mw.tailPct = tailPct
+		mw.limitMS = sla * slaFactor
+		mw.breached = slices.Grow(mw.breached[:0], windows)[:windows]
 	}
 
+	runPhase(scr, models) // prepare
+	for _, mw := range models {
+		ist.Shed += mw.shed
+		if tr != nil {
+			tr.Ingest(mw.shedBuf.Events())
+		}
+	}
+
+	runPhase(scr, scr.tasks) // run
 	// Drain staged trace events in deterministic task order — the same
 	// order sequential execution produced them in — and flush the
 	// interval to the sinks, so exports stream per interval instead of
@@ -1562,126 +1742,73 @@ func (e *Engine) replayInterval(idx int, stepS float64, loads map[string]float64
 		tr.Flush()
 	}
 
-	// Merge: per-model windowed tails drive breach verdicts; the
-	// aggregate distribution drives the interval percentiles. Latencies
-	// flow through reused flat buffers — window, model, interval — each
-	// sorted once for its percentile reads.
-	tailPct, slaFactor := 95.0, 1.0
-	if e.Scaler != nil {
-		tp, sf := e.Scaler.Thresholds()
-		if tp > 0 {
-			tailPct = tp
+	// Tails: on the exact path each model owns a disjoint range of one
+	// interval buffer, laid out in model order, which is read in place
+	// three times — windows, model, interval — and never copied again.
+	if !useSketch {
+		total := 0
+		for _, mw := range models {
+			total += mw.latencies()
 		}
-		if sf > 0 {
-			slaFactor = sf
+		scr.allBuf = slices.Grow(scr.allBuf[:0], total)[:total]
+		off := 0
+		for _, mw := range models {
+			n := mw.latencies()
+			mw.lat = scr.allBuf[off : off+n]
+			off += n
 		}
 	}
-	for cap(scr.breached) < windows {
-		scr.breached = append(scr.breached[:cap(scr.breached)], false)
+	for _, mw := range models {
+		mw.phase = phaseTails
 	}
-	breached := scr.breached[:windows]
-	for i := range breached {
-		breached[i] = false
+	runPhase(scr, models) // tails
+
+	// Account, in model order.
+	scr.breached = slices.Grow(scr.breached[:0], windows)[:windows]
+	breached := scr.breached
+	clear(breached)
+	if useSketch {
+		armSketch(&scr.allSk)
+	}
+	for _, mw := range models {
+		m := mw.name
+		for w, b := range mw.breached {
+			breached[w] = breached[w] || b
+		}
+		mQueries, mDrops, mHits := 0, 0, 0
+		for _, sh := range mw.shards {
+			mQueries += len(sh.queries)
+			mDrops += sh.dropped
+			mHits += sh.hits
+			ist.SpillInServed += sh.remoteServed
+			ist.SpillInDropped += sh.remoteDropped
+		}
+		ist.Queries += mQueries
+		ist.Drops += mDrops
+		ist.CacheHits += mHits
+		if e.cacheActive {
+			e.cacheFill(m, mQueries-mDrops-mHits, mHits, mQueries, stepS/sliceS)
+		}
+		ist.ModelP95MS[m] = mw.p95
+		ist.ModelP99MS[m] = mw.p99
+		// Record what admission policies may condition on next interval.
+		obs := modelObs{p99MS: mw.p99}
+		if mQueries > 0 {
+			obs.dropFrac = float64(mDrops) / float64(mQueries)
+		}
+		e.prevObs[m] = obs
+		if useSketch {
+			scr.allSk.Merge(&mw.modelSk)
+		}
 	}
 	if useSketch {
-		// Sketch path: per-window shard sketches merge (bucket-wise,
-		// order-independent — parallel keeps byte identity) into a
-		// window sketch for the breach verdict, fold into the model
-		// sketch for per-model tails, and the model sketches fold into
-		// the interval sketch. No latency sample is ever buffered.
-		armSketch(&scr.allSk)
-		for mi, m := range names {
-			shards := scr.tasks[starts[mi]:starts[mi+1]]
-			sla := e.models[m].SLATargetMS
-			armSketch(&scr.modelSk)
-			for w := 0; w < windows; w++ {
-				armSketch(&scr.winSk)
-				drops := 0
-				for _, sh := range shards {
-					scr.winSk.Merge(&sh.winSk[w])
-					drops += sh.winDrops[w]
-				}
-				if drops > 0 || (scr.winSk.Count() > 0 && scr.winSk.Quantile(tailPct) > sla*slaFactor) {
-					breached[w] = true
-				}
-				scr.modelSk.Merge(&scr.winSk)
-			}
-			mQueries, mDrops, mHits := 0, 0, 0
-			for _, sh := range shards {
-				mQueries += len(sh.queries)
-				mDrops += sh.dropped
-				mHits += sh.hits
-				ist.SpillInServed += sh.remoteServed
-				ist.SpillInDropped += sh.remoteDropped
-			}
-			ist.Queries += mQueries
-			ist.Drops += mDrops
-			ist.CacheHits += mHits
-			if e.cacheActive {
-				e.cacheFill(m, mQueries-mDrops-mHits, mHits, mQueries, stepS/sliceS)
-			}
-			ist.ModelP95MS[m] = scr.modelSk.Quantile(95)
-			ist.ModelP99MS[m] = scr.modelSk.Quantile(99)
-			obs := modelObs{p99MS: ist.ModelP99MS[m]}
-			if mQueries > 0 {
-				obs.dropFrac = float64(mDrops) / float64(mQueries)
-			}
-			e.prevObs[m] = obs
-			scr.allSk.Merge(&scr.modelSk)
-		}
 		ist.P50MS = scr.allSk.Quantile(50)
 		ist.P95MS = scr.allSk.Quantile(95)
 		ist.P99MS = scr.allSk.Quantile(99)
 	} else {
-		allBuf := scr.allBuf[:0]
-		for mi, m := range names {
-			shards := scr.tasks[starts[mi]:starts[mi+1]]
-			sla := e.models[m].SLATargetMS
-			mBuf := scr.modelBuf[:0]
-			for w := 0; w < windows; w++ {
-				winBuf := scr.winBuf[:0]
-				drops := 0
-				for _, sh := range shards {
-					for _, l := range sh.winLatS[w] {
-						winBuf = append(winBuf, l*1e3)
-					}
-					drops += sh.winDrops[w]
-				}
-				mBuf = append(mBuf, winBuf...)
-				if drops > 0 || (len(winBuf) > 0 && stats.PercentileSelect(winBuf, tailPct) > sla*slaFactor) {
-					breached[w] = true
-				}
-				scr.winBuf = winBuf[:0]
-			}
-			mQueries, mDrops, mHits := 0, 0, 0
-			for _, sh := range shards {
-				mQueries += len(sh.queries)
-				mDrops += sh.dropped
-				mHits += sh.hits
-				ist.SpillInServed += sh.remoteServed
-				ist.SpillInDropped += sh.remoteDropped
-			}
-			ist.Queries += mQueries
-			ist.Drops += mDrops
-			ist.CacheHits += mHits
-			if e.cacheActive {
-				e.cacheFill(m, mQueries-mDrops-mHits, mHits, mQueries, stepS/sliceS)
-			}
-			allBuf = append(allBuf, mBuf...)
-			ist.ModelP95MS[m] = stats.PercentileSelect(mBuf, 95)
-			ist.ModelP99MS[m] = stats.PercentileSelect(mBuf, 99)
-			// Record what admission policies may condition on next interval.
-			obs := modelObs{p99MS: ist.ModelP99MS[m]}
-			if mQueries > 0 {
-				obs.dropFrac = float64(mDrops) / float64(mQueries)
-			}
-			e.prevObs[m] = obs
-			scr.modelBuf = mBuf[:0]
-		}
-		ist.P50MS = stats.PercentileSelect(allBuf, 50)
-		ist.P95MS = stats.PercentileSelect(allBuf, 95)
-		ist.P99MS = stats.PercentileSelect(allBuf, 99)
-		scr.allBuf = allBuf[:0]
+		var out [3]float64
+		stats.PercentilesSelect(scr.allBuf, []float64{50, 95, 99}, out[:])
+		ist.P50MS, ist.P95MS, ist.P99MS = out[0], out[1], out[2]
 	}
 	if e.cacheActive {
 		if ist.Queries > 0 {

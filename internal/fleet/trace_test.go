@@ -2,11 +2,14 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"reflect"
 	"testing"
 
 	"hercules/internal/cluster"
+	"hercules/internal/profiler"
+	"hercules/internal/scenario"
 	"hercules/internal/stats"
 	"hercules/internal/telemetry"
 )
@@ -219,16 +222,17 @@ func TestTracedRoutersMatchUntraced(t *testing.T) {
 }
 
 // TestSketchTailsDeterministicAndClose: the sketch-based tail path
-// must stay deterministic across parallel and sequential replays
-// (bucket-wise merges are order-independent), and its percentiles must
-// track the exact path within the sketch's relative-error bound.
+// must stay deterministic across parallel and sequential replays —
+// with two models at Shards 4, the pooled per-model tails phase merges
+// its sketches concurrently — and its percentiles must track the exact
+// path within the sketch's relative-error bound.
 func TestSketchTailsDeterministicAndClose(t *testing.T) {
 	run := func(sequential, sketch bool) DayResult {
 		opts := testOpts()
 		opts.Shards = 4
 		opts.Sequential = sequential
 		opts.SketchTails = sketch
-		res, err := testEngine(PowerOfTwo, opts).RunDay(goldenWorkloads())
+		res, err := twoModelEngine(opts).RunDay(twoModelWorkloads())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,5 +268,122 @@ func TestSketchTailsDeterministicAndClose(t *testing.T) {
 	}
 	if seq.TotalQueries != exact.TotalQueries || seq.TotalDrops != exact.TotalDrops {
 		t.Error("sketch path changed query accounting")
+	}
+}
+
+// twoModelEngine is testEngine serving DLRM-RMC1 and DLRM-RMC2 from one
+// T2 fleet, so per-model phases have more than one task to pool.
+func twoModelEngine(opts Options) *Engine {
+	tb := testTable()
+	tb.Set(profiler.Entry{
+		Model: "DLRM-RMC2", Server: "T2",
+		QPS: 200, PowerW: 300, QPSPerWatt: 200.0 / 300,
+	})
+	e, err := NewEngine(Spec{Router: PowerOfTwo, Policy: "greedy",
+		Models: []string{"DLRM-RMC1", "DLRM-RMC2"}, HeadroomR: 0.05, Options: opts},
+		WithFleet(testFleet()), WithTable(tb),
+		WithService(svcFunc(func(st, m string, size int, scale float64) float64 { return 0.005 })))
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
+// twoModelWorkloads is a two-model day whose surge overloads the fleet
+// provisioned for its first interval.
+func twoModelWorkloads() []cluster.Workload {
+	return []cluster.Workload{
+		{Model: "DLRM-RMC1", Trace: stepTrace(300, 1600, 1600, 1600, 900, 600)},
+		{Model: "DLRM-RMC2", Trace: stepTrace(200, 1200, 1200, 1200, 700, 400)},
+	}
+}
+
+// TestTracedShedParallelMatchesSequential: every sampled shed query is
+// staged in its model's own buffer while the models' streams are built
+// concurrently; the buffers must still reach the trace in model order,
+// ahead of the shard events, so the NDJSON bytes of a parallel replay
+// equal the sequential ones. Both shedding sources are active — a
+// scenario drill on one model and deadline admission on both.
+func TestTracedShedParallelMatchesSequential(t *testing.T) {
+	ws := twoModelWorkloads()
+	sc := scenario.Scenario{Name: "drill", Events: []scenario.Event{
+		{Kind: scenario.Shed, StartH: 0, EndH: 0.5, Model: "DLRM-RMC2", Factor: 0.3},
+	}}
+	run := func(sequential bool) ([]byte, DayResult) {
+		opts := testOpts()
+		opts.Shards = 4
+		opts.Sequential = sequential
+		opts.TraceSample = 1
+		e := twoModelEngine(opts)
+		e.Scaler = nil // keep the surge overloaded, so admission sheds
+		e.Admission = NewDeadlineAdmission()
+		if err := e.ApplyScenario(sc, ws); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		e.Tracer.AddSink(telemetry.NewNDJSONWriter(&buf))
+		res, err := e.RunDay(ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Tracer.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), res
+	}
+	seqTrace, seqRes := run(true)
+	parTrace, parRes := run(false)
+	if !reflect.DeepEqual(seqRes, parRes) {
+		t.Error("parallel DayResult diverged from sequential")
+	}
+	if !bytes.Equal(seqTrace, parTrace) {
+		t.Error("parallel shed trace diverged from sequential")
+	}
+	if seqRes.TotalShed == 0 {
+		t.Fatal("nothing was shed")
+	}
+	// Within each interval the engine-level stream comes first, model by
+	// model: offers and sheds in sorted model order, all ahead of the
+	// first query a shard handled.
+	lastModel := map[int]string{}
+	sharded := map[int]bool{}
+	sheds := 0
+	for _, raw := range bytes.Split(bytes.TrimSpace(seqTrace), []byte("\n")) {
+		var ev struct {
+			I int    `json:"i"`
+			K string `json:"k"`
+			M string `json:"m"`
+		}
+		if err := json.Unmarshal(raw, &ev); err != nil {
+			t.Fatal(err)
+		}
+		switch ev.K {
+		case "arrival":
+		case "offer", "shed":
+			if sharded[ev.I] {
+				t.Fatalf("interval %d: %s event after shard events", ev.I, ev.K)
+			}
+			if ev.M < lastModel[ev.I] {
+				t.Fatalf("interval %d: %s of %s after %s", ev.I, ev.K, ev.M, lastModel[ev.I])
+			}
+			lastModel[ev.I] = ev.M
+			if ev.K == "shed" {
+				sheds++
+			}
+		default:
+			sharded[ev.I] = true
+		}
+	}
+	if sheds != seqRes.TotalShed {
+		t.Errorf("%d shed events traced at 1/1 sampling, want %d", sheds, seqRes.TotalShed)
+	}
+	// Admission (not only the drill) must have shed: intervals past the
+	// drill's half hour shed too.
+	late := 0
+	for _, st := range seqRes.Steps[3:] {
+		late += st.Shed
+	}
+	if late == 0 {
+		t.Error("deadline admission shed nothing after the drill")
 	}
 }

@@ -4,40 +4,68 @@ package stats
 // on a sorted copy of xs — same closest-rank linear interpolation —
 // but finds the two needed order statistics by in-place quickselect
 // instead of a full sort: O(n) expected instead of O(n log n). The
-// slice is partially reordered. Hot loops that read only a few
-// percentile points per buffer (the fleet replay merge) use this; code
-// that reads many points should sort once and use PercentileSorted.
+// slice is partially reordered. Reading several points of one buffer,
+// use PercentilesSelect, which nests the selections; code that reads
+// many points should sort once and use PercentileSorted.
 func PercentileSelect(xs []float64, p float64) float64 {
+	var out [1]float64
+	PercentilesSelect(xs, []float64{p}, out[:])
+	return out[0]
+}
+
+// PercentilesSelect writes PercentileSelect(xs, ps[i]) to out[i] for
+// every point of ps, which must ascend. Each rank is quickselected only
+// in the suffix the previous selection left above it, so later points
+// search ever fewer elements. The values are exact order statistics,
+// bit-identical to PercentileSorted on a sorted copy; xs is partially
+// reordered.
+func PercentilesSelect(xs, ps, out []float64) {
 	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	if n == 1 {
-		return xs[0]
-	}
-	rank := p / 100 * float64(n-1)
-	if p <= 0 {
-		rank = 0
-	}
-	if p >= 100 {
-		rank = float64(n - 1)
-	}
-	lo := int(rank)
-	quickSelect(xs, lo)
-	vlo := xs[lo]
-	frac := rank - float64(lo)
-	if frac == 0 {
-		return vlo
-	}
-	// The (lo+1)-th order statistic is the minimum of the right
-	// partition quickSelect leaves behind.
-	vhi := xs[lo+1]
-	for _, x := range xs[lo+2:] {
-		if x < vhi {
-			vhi = x
+	// xs[:base] holds order statistics already in place: every element
+	// of it is ≤ every element of xs[base:].
+	base, prevLo := 0, -1
+	vhi, haveHi := 0.0, false
+	for i, p := range ps {
+		switch n {
+		case 0:
+			out[i] = 0
+			continue
+		case 1:
+			out[i] = xs[0]
+			continue
 		}
+		rank := p / 100 * float64(n-1)
+		if p <= 0 {
+			rank = 0
+		}
+		if p >= 100 {
+			rank = float64(n - 1)
+		}
+		lo := int(rank)
+		if lo < prevLo {
+			panic("stats: PercentilesSelect points must ascend")
+		}
+		if lo != prevLo {
+			quickSelect(xs[base:], lo-base)
+			base, prevLo, haveHi = lo+1, lo, false
+		}
+		frac := rank - float64(lo)
+		if frac == 0 {
+			out[i] = xs[lo]
+			continue
+		}
+		if !haveHi {
+			// The (lo+1)-th order statistic is the minimum of the right
+			// partition quickSelect leaves behind.
+			vhi, haveHi = xs[lo+1], true
+			for _, x := range xs[lo+2:] {
+				if x < vhi {
+					vhi = x
+				}
+			}
+		}
+		out[i] = xs[lo]*(1-frac) + vhi*frac
 	}
-	return vlo*(1-frac) + vhi*frac
 }
 
 // quickSelect reorders xs so xs[k] holds its sorted-order value, every
