@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"math"
+	"sync"
 
 	"hercules/internal/hw"
 	"hercules/internal/model"
@@ -144,12 +145,14 @@ func CPUBatch(p Params, srv hw.Server, g *model.Graph, ids []int, items int,
 	c.NMPBytes = nmpBytes
 
 	// --- Dense phase ----------------------------------------------------
-	dense := denseDurations(p, srv, g, ids, n, coThreads)
+	buf := schedPool.Get().(*schedBuf)
+	dense := denseDurations(p, srv, g, ids, n, coThreads, buf)
 	if len(dense.ids) > 0 {
-		c.DenseS = listSchedule(g, dense, opWorkers)
+		c.DenseS = listSchedule(g, dense, opWorkers, buf)
 		c.FLOPs = dense.totalFLOPs
 		c.HostBytes += dense.totalBytes
 	}
+	schedPool.Put(buf)
 
 	// --- Totals ---------------------------------------------------------
 	c.ServiceS = p.DispatchOverheadS + c.SparseS + c.DenseS
@@ -179,9 +182,35 @@ type denseWork struct {
 	totalBytes float64
 }
 
+// schedBuf is the working memory of one dense-phase evaluation. The
+// cost model runs thousands of times per serving-table calibration or
+// service-grid fill, so the buffers are pooled rather than allocated
+// per call; a denseWork built in a buffer aliases it until the buffer
+// goes back to the pool.
+type schedBuf struct {
+	ids         []int
+	dur, finish []float64
+	free        []float64
+	in          []bool
+	topo        model.TopoBuf
+}
+
+var schedPool = sync.Pool{New: func() any { return new(schedBuf) }}
+
+// zeroed returns s with length n and every element zero, reusing its
+// backing array when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // denseDurations computes per-op durations for the dense ops of `ids`.
-func denseDurations(p Params, srv hw.Server, g *model.Graph, ids []int, n float64, coThreads int) denseWork {
-	w := denseWork{dur: make([]float64, len(g.Ops))}
+func denseDurations(p Params, srv hw.Server, g *model.Graph, ids []int, n float64, coThreads int, buf *schedBuf) denseWork {
+	w := denseWork{ids: buf.ids[:0], dur: zeroed(buf.dur, len(g.Ops))}
 	eta := 1 / (1 + p.InterferenceKappa*float64(coThreads-1))
 	coreFLOPS := srv.CPU.PeakCoreFLOPS() * p.CPUEff * eta
 	// Weight streams come from DRAM only when the thread's working set
@@ -215,6 +244,7 @@ func denseDurations(p Params, srv hw.Server, g *model.Graph, ids []int, n float6
 			w.totalBytes += op.WeightBytes + op.BytesPerItem*n
 		}
 	}
+	buf.ids, buf.dur = w.ids, w.dur
 	return w
 }
 
@@ -223,14 +253,15 @@ func denseDurations(p Params, srv hw.Server, g *model.Graph, ids []int, n float6
 // returns the makespan. Ready ops are started in topological order on
 // the earliest-free worker — the same policy a DL-framework's inter-op
 // thread pool uses.
-func listSchedule(g *model.Graph, w denseWork, workers int) float64 {
-	order := g.TopoOrder(w.ids)
-	in := make([]bool, len(g.Ops))
+func listSchedule(g *model.Graph, w denseWork, workers int, buf *schedBuf) float64 {
+	order := g.TopoOrderBuf(w.ids, &buf.topo)
+	in := zeroed(buf.in, len(g.Ops))
 	for _, id := range w.ids {
 		in[id] = true
 	}
-	finish := make([]float64, len(g.Ops))
-	free := make([]float64, workers)
+	finish := zeroed(buf.finish, len(g.Ops))
+	free := zeroed(buf.free, workers)
+	buf.in, buf.finish, buf.free = in, finish, free
 	var makespan float64
 	for _, id := range order {
 		ready := 0.0
@@ -261,11 +292,12 @@ func listSchedule(g *model.Graph, w denseWork, workers int) float64 {
 // operator workers executing the model's dense graph at the given batch
 // size (Fig. 5c): idle = 1 − busy/(workers × makespan).
 func OpWorkerIdleFraction(p Params, srv hw.Server, g *model.Graph, items, workers int) float64 {
-	w := denseDurations(p, srv, g, g.DenseOps(), float64(items), 1)
+	buf := new(schedBuf)
+	w := denseDurations(p, srv, g, g.DenseOps(), float64(items), 1, buf)
 	if len(w.ids) == 0 || workers < 1 {
 		return 0
 	}
-	makespan := listSchedule(g, w, workers)
+	makespan := listSchedule(g, w, workers, buf)
 	if makespan <= 0 {
 		return 0
 	}

@@ -34,6 +34,29 @@ func TestCPUBatchPositive(t *testing.T) {
 	}
 }
 
+// CPUBatch takes its dense-phase buffers from a pool, so one buffer
+// serves graphs of different sizes in turn; every evaluation must still
+// equal the same evaluation in fresh buffers.
+func TestCPUBatchPooledBuffersMatchFresh(t *testing.T) {
+	p, srv := DefaultParams(), hw.ServerType("T2")
+	zoo := model.Zoo(model.Prod)
+	for round := 0; round < 3; round++ {
+		for i := range zoo {
+			m := zoo[(i*5+round)%len(zoo)]
+			g := model.BuildGraph(m)
+			dense := g.DenseOps()
+			items, workers := 16<<round, 1+round
+			got := CPUBatch(p, srv, g, dense, items, 1, 2, workers, false, lut)
+			w := denseDurations(p, srv, g, dense, float64(items), 2, new(schedBuf))
+			want := listSchedule(g, w, workers, new(schedBuf))
+			if got.DenseS != want || got.FLOPs != w.totalFLOPs {
+				t.Errorf("%s round %d: pooled DenseS %v FLOPs %v, fresh %v %v",
+					m.Name, round, got.DenseS, got.FLOPs, want, w.totalFLOPs)
+			}
+		}
+	}
+}
+
 func TestCPUBatchScalesWithItems(t *testing.T) {
 	m := model.DLRMRMC1(model.Prod)
 	small := cpuCost(m, 16, 10, 2, "T2", false)

@@ -75,8 +75,8 @@
 //     into the global aggregate via MergeDays (sums, max-of-max tails,
 //     query-weighted mean tails — associative up to float rounding).
 //     Spec.Normalize gives legacy specs one implicit region named
-//     "local", and a one-region run delegates to the plain engine,
-//     byte-identical to the committed goldens.
+//     "local"; a one-region run is the N=1 case of the lockstep
+//     driver, byte-identical to the plain engine and the goldens.
 //
 // Dynamic batching (Options.MaxBatch > 1) turns each instance into a
 // batcher: queued queries coalesce into batches that launch when full,

@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"slices"
 	"sort"
@@ -969,10 +968,9 @@ type shardWork struct {
 	windowW   float64
 	windows   int
 	sliceS    float64 // busy-accounting horizon for this interval's slice
-	maxBatch  int     // > 1 selects the dynamic-batching replay loop
 
-	// comps is the per-arrival completions scratch of the batched loop,
-	// reused across queries and intervals.
+	// comps is the completions scratch of batching instances, reused
+	// across queries and intervals.
 	comps []Completion
 
 	// Cache tier: cacheHR > 0 enables the hit test — a deterministic
@@ -1114,16 +1112,20 @@ func (w *shardWork) traceServed(qid int64, instID int, arrS, startS, doneS float
 	ev.Value = doneS - arrS
 }
 
+// run is the replay loop of one shard: every query is offered to the
+// cache tier, then routed and served. Unbatched instances (MaxBatch 1)
+// report each latency at arrival; batching instances report latencies
+// when batches dispatch (window expiry, a full batch, or the
+// end-of-slice drain), bucketed into observation windows by each
+// query's own arrival instant — the same accounting, just deferred.
+// Pools mix both kinds (each pair derives its own batch cap from the
+// measured efficiency curve), so the loop branches per pick.
 func (w *shardWork) run() {
 	router := w.newRouter()
 	rng := stats.NewRand(w.seed)
 	for _, in := range w.insts {
 		in.ResetSlice(w.sliceS)
 	}
-	if w.maxBatch > 1 {
-		w.runBatched(router, rng)
-		return
-	}
 	trouter, _ := router.(TracedRouter)
 	for _, q := range w.queries {
 		wi := stats.ClampInt(int(q.ArrivalS/w.windowW), 0, w.windows-1)
@@ -1145,98 +1147,7 @@ func (w *shardWork) run() {
 			continue
 		}
 		if len(w.insts) == 0 {
-			w.dropped++
-			w.winDrops[wi]++
-			if remote {
-				w.remoteDropped++
-			}
-			if sampled {
-				w.trace.Emit(telemetry.KindDrop, q.ID, q.ArrivalS)
-			}
-			continue
-		}
-		var pick int
-		if sampled {
-			ev := w.trace.Emit(telemetry.KindRoute, q.ID, q.ArrivalS)
-			if trouter != nil {
-				pick = trouter.PickTraced(w.insts, q.ArrivalS, rng, ev)
-			} else {
-				pick = router.Pick(w.insts, q.ArrivalS, rng)
-			}
-			ev.Instance = int32(w.insts[pick].ID)
-			if trouter == nil {
-				ev.Cand[0] = ev.Instance
-				ev.NCand = 1
-			}
-		} else {
-			pick = router.Pick(w.insts, q.ArrivalS, rng)
-		}
-		in := w.insts[pick]
-		start, done, drop := in.arrive(q.ArrivalS, q.Size, q.SparseScale)
-		if drop {
-			w.dropped++
-			w.winDrops[wi]++
-			if remote {
-				w.remoteDropped++
-			}
-			if sampled {
-				ev := w.trace.Emit(telemetry.KindDrop, q.ID, q.ArrivalS)
-				ev.Instance = int32(in.ID)
-			}
-			continue
-		}
-		if sampled {
-			w.traceServed(q.ID, in.ID, q.ArrivalS, start, done, 1)
-		}
-		if remote {
-			w.remoteServed++
-		}
-		w.observe(wi, done-q.ArrivalS+rtt)
-	}
-}
-
-// runBatched is the dynamic-batching replay loop: latencies are
-// emitted when batches dispatch (window expiry, a full batch, or the
-// end-of-slice drain) rather than per arrival, and are bucketed into
-// observation windows by each query's own arrival instant — the same
-// accounting as the unbatched loop, just deferred. Pools mix batched
-// and unbatched instances (each pair derives its own batch cap from
-// the measured efficiency curve), so the loop branches per pick.
-func (w *shardWork) runBatched(router Router, rng *rand.Rand) {
-	if cap(w.comps) < 2*w.maxBatch {
-		// One arrival can trigger at most an expiry dispatch of the
-		// forming batch plus a full-batch dispatch including itself.
-		w.comps = make([]Completion, 0, 2*w.maxBatch)
-	}
-	trouter, _ := router.(TracedRouter)
-	for _, q := range w.queries {
-		wi := stats.ClampInt(int(q.ArrivalS/w.windowW), 0, w.windows-1)
-		remote := w.remoteFrac > 0 && cacheHit(w.remoteStream, q.ID, w.remoteFrac)
-		rtt := 0.0
-		if remote {
-			rtt = w.remoteRTTS
-		}
-		sampled := w.traceOn && w.trace.Sampled(q.ID)
-		if sampled {
-			ev := w.trace.Emit(telemetry.KindArrival, q.ID, q.ArrivalS)
-			ev.Value = float64(q.Size)
-			ev.Aux = q.SparseScale
-		}
-		if w.cacheServe(q, wi, sampled, rtt) {
-			if remote {
-				w.remoteServed++
-			}
-			continue
-		}
-		if len(w.insts) == 0 {
-			w.dropped++
-			w.winDrops[wi]++
-			if remote {
-				w.remoteDropped++
-			}
-			if sampled {
-				w.trace.Emit(telemetry.KindDrop, q.ID, q.ArrivalS)
-			}
+			w.drop(q, wi, remote, sampled, -1)
 			continue
 		}
 		var pick int
@@ -1259,15 +1170,7 @@ func (w *shardWork) runBatched(router Router, rng *rand.Rand) {
 		if in.MaxBatch <= 1 {
 			start, done, drop := in.arrive(q.ArrivalS, q.Size, q.SparseScale)
 			if drop {
-				w.dropped++
-				w.winDrops[wi]++
-				if remote {
-					w.remoteDropped++
-				}
-				if sampled {
-					ev := w.trace.Emit(telemetry.KindDrop, q.ID, q.ArrivalS)
-					ev.Instance = int32(in.ID)
-				}
+				w.drop(q, wi, remote, sampled, in.ID)
 				continue
 			}
 			if sampled {
@@ -1282,15 +1185,7 @@ func (w *shardWork) runBatched(router Router, rng *rand.Rand) {
 		comps, drop := in.ArriveBatched(q.ID, q.ArrivalS, q.Size, q.SparseScale, w.comps[:0])
 		w.comps = comps[:0]
 		if drop {
-			w.dropped++
-			w.winDrops[wi]++
-			if remote {
-				w.remoteDropped++
-			}
-			if sampled {
-				ev := w.trace.Emit(telemetry.KindDrop, q.ID, q.ArrivalS)
-				ev.Instance = int32(in.ID)
-			}
+			w.drop(q, wi, remote, sampled, in.ID)
 		} else if sampled {
 			// The query joined a forming batch (its Start/End events
 			// surface with the dispatch's completions); record its
@@ -1313,6 +1208,21 @@ func (w *shardWork) runBatched(router Router, rng *rand.Rand) {
 		comps := in.FlushPending(w.comps[:0])
 		w.comps = comps[:0]
 		w.record(in.ID, comps)
+	}
+}
+
+// drop counts one rejected query — at the empty pool (instID -1) or at
+// an instance's bounded queue — against its window and, when it
+// arrived by geo spill, against the remote tally.
+func (w *shardWork) drop(q workload.Query, wi int, remote, sampled bool, instID int) {
+	w.dropped++
+	w.winDrops[wi]++
+	if remote {
+		w.remoteDropped++
+	}
+	if sampled {
+		ev := w.trace.Emit(telemetry.KindDrop, q.ID, q.ArrivalS)
+		ev.Instance = int32(instID)
 	}
 }
 
@@ -1675,7 +1585,6 @@ func (e *Engine) replayInterval(idx int, stepS float64, loads map[string]float64
 			sh.seed = mixSeed(e.Opts.Seed, int64(idx), int64(mi)<<8|int64(s))
 			sh.windowW = windowW
 			sh.sliceS = sliceS
-			sh.maxBatch = max(e.Opts.MaxBatch, 1)
 			sh.cacheHR = cacheHR
 			sh.cacheLatS = cacheLatS
 			sh.cacheStream = cacheStreamSeed(e.Opts.Seed, idx, mh)
@@ -1874,60 +1783,24 @@ type SliceResult struct {
 
 // ReplaySlice routes one query stream (in arrival order) over the
 // given instances with a fresh router of the given registered name —
-// the single-shard building block RunDay composes, exported for tests
-// and tools that want router behavior without provisioning. Batching
-// instances (EnableBatching) are served through the dynamic-batching
-// path, including the end-of-slice drain of forming batches. An
-// unregistered router name panics: callers pass compile-time policy
-// names, never user input (route user input through ParseRouter).
+// one shard of RunDay's replay loop, with a single unbounded
+// observation window and the unclipped busy horizon, exported for
+// tests and tools that want router behavior without provisioning.
+// Batching instances (EnableBatching) are served through the
+// dynamic-batching path, including the end-of-slice drain of forming
+// batches. An unregistered router name panics: callers pass
+// compile-time policy names, never user input (route user input
+// through ParseRouter).
 func ReplaySlice(routerName string, insts []*Instance, queries []workload.Query, seed int64) SliceResult {
-	router, err := NewRouter(routerName)
+	newRouter, err := RouterFactory(routerName)
 	if err != nil {
 		panic(err)
 	}
-	rng := stats.NewRand(seed)
-	var res SliceResult
-	var comps []Completion
-	for _, in := range insts {
-		in.Reset()
-	}
-	for _, q := range queries {
-		if len(insts) == 0 {
-			res.Dropped++
-			continue
-		}
-		in := insts[router.Pick(insts, q.ArrivalS, rng)]
-		if in.MaxBatch <= 1 {
-			done, drop := in.Arrive(q.ArrivalS, q.Size, q.SparseScale)
-			if drop {
-				res.Dropped++
-				continue
-			}
-			res.Served++
-			res.LatS = append(res.LatS, done-q.ArrivalS)
-			continue
-		}
-		var drop bool
-		comps, drop = in.ArriveBatched(q.ID, q.ArrivalS, q.Size, q.SparseScale, comps[:0])
-		if drop {
-			res.Dropped++
-		} else {
-			res.Served++
-		}
-		for _, c := range comps {
-			res.LatS = append(res.LatS, c.DoneS-c.ArrivalS)
-		}
-	}
-	for _, in := range insts {
-		if in.MaxBatch <= 1 {
-			continue
-		}
-		comps = in.FlushPending(comps[:0])
-		for _, c := range comps {
-			res.LatS = append(res.LatS, c.DoneS-c.ArrivalS)
-		}
-	}
-	return res
+	w := &shardWork{newRouter: newRouter, seed: seed, windowW: math.Inf(1)}
+	w.reset(1, false)
+	w.insts, w.queries = insts, queries
+	w.run()
+	return SliceResult{LatS: w.winLatS[0], Served: len(queries) - w.dropped, Dropped: w.dropped}
 }
 
 // hashString folds a string into a seed component (FNV-1a).

@@ -41,8 +41,9 @@ type MultiEngine struct {
 // decoration goes through MultiEngine.Engines.
 //
 // A single-region spec (including a normalized legacy spec) is valid:
-// RunDay then delegates to the one engine and its result is
-// byte-identical to NewEngine + RunDay on the same spec.
+// it is the one-region case of the same lockstep replay, and its
+// region's result is byte-identical to NewEngine + RunDay on the same
+// spec.
 func NewMultiEngine(spec Spec, opts ...Option) (*MultiEngine, error) {
 	nspec, err := spec.Normalize()
 	if err != nil {
@@ -144,21 +145,6 @@ func (me *MultiEngine) RunDay(wss [][]cluster.Workload) (DayResult, error) {
 	if len(wss) != len(me.Engines) {
 		return DayResult{}, fmt.Errorf("fleet: %d workload sets for %d regions", len(wss), len(me.Engines))
 	}
-	if len(me.Engines) == 1 {
-		// Single region: delegate outright — byte-identical to the
-		// engine running alone, just with the region labels attached.
-		res, err := me.Engines[0].RunDay(wss[0])
-		res.Region = me.Spec.Regions[0].Name
-		res.Geo = me.Spec.Geo
-		if err != nil {
-			return res, err
-		}
-		global := MergeDays(res)
-		global.Geo = me.Spec.Geo
-		global.Regions = []DayResult{res}
-		return global, nil
-	}
-
 	names := make([]string, len(me.Spec.Regions))
 	for i, r := range me.Spec.Regions {
 		names[i] = r.Name

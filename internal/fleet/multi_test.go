@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"hercules/internal/cluster"
+	"hercules/internal/scenario"
+	"hercules/internal/workload"
 )
 
 // regionsTestSpec is the two-region drill the multi-region tests and
@@ -133,38 +135,57 @@ func TestRegionsSpillBeatsLocal(t *testing.T) {
 	}
 }
 
-// TestMultiEngineSingleRegionDelegates: a one-region MultiEngine must
-// reproduce the plain Engine's replay byte for byte — the guarantee
-// that wrapping a legacy spec in the multi-region API changes labels,
-// never results.
-func TestMultiEngineSingleRegionDelegates(t *testing.T) {
+// TestMultiEngineSingleRegionMatchesEngine: a one-region MultiEngine
+// is the N=1 case of the lockstep driver, and must reproduce the plain
+// Engine's replay byte for byte under every built-in scenario and geo
+// policy — the guarantee that wrapping a legacy spec in the
+// multi-region API changes labels, never results. The day spans 24
+// hourly intervals so every scenario's events land inside it, and a
+// cache tier gives the cachestorm scenario something to flush.
+func TestMultiEngineSingleRegionMatchesEngine(t *testing.T) {
+	loads := make([]float64, 24)
+	for h := range loads {
+		loads[h] = 1400 - 1000*math.Cos(2*math.Pi*float64(h-8)/24)
+	}
+	ws := []cluster.Workload{{Model: "DLRM-RMC1",
+		Trace: workload.DiurnalTrace{Service: "test", StepS: 3600, LoadsQPS: loads}}}
 	opts := testOpts()
-	opts.Shards = 4
-	spec := Spec{Router: PowerOfTwo, Policy: "greedy", Models: []string{"DLRM-RMC1"},
-		HeadroomR: 0.05, Options: opts}
-	ws := goldenWorkloads()
-	plain, err := testEngine(PowerOfTwo, opts).RunDay(ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	me := newRegionsEngine(t, spec)
-	if len(me.Engines) != 1 {
-		t.Fatalf("legacy spec built %d engines, want 1", len(me.Engines))
-	}
-	res, err := me.RunDay([][]cluster.Workload{ws})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Regions) != 1 {
-		t.Fatalf("single-region result carries %d regions, want 1", len(res.Regions))
-	}
-	regional := res.Regions[0]
-	if regional.Region != "local" || regional.Geo != GeoLocal {
-		t.Errorf("implicit region labelled %q/%q, want local/local", regional.Region, regional.Geo)
-	}
-	regional.Region, regional.Geo = "", ""
-	if !reflect.DeepEqual(regional, plain) {
-		t.Error("single-region MultiEngine replay diverged from the plain Engine")
+	opts.SliceS = 1
+	opts.Shards = 2
+	for _, sc := range scenario.Names() {
+		for _, geo := range []string{GeoLocal, GeoSpill} {
+			spec := Spec{Router: PowerOfTwo, Policy: "greedy", Models: []string{"DLRM-RMC1"},
+				HeadroomR: 0.05, Scenario: sc, Geo: geo, Cache: CacheSpec{HitRate: 0.3}, Options: opts}
+			plainEng, err := NewEngine(spec, WithFleet(testFleet()), WithTable(testTable()),
+				WithService(svcFunc(func(st, m string, size int, scale float64) float64 { return 0.005 })))
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := plainEng.RunDay(ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			me := newRegionsEngine(t, spec)
+			if len(me.Engines) != 1 {
+				t.Fatalf("legacy spec built %d engines, want 1", len(me.Engines))
+			}
+			res, err := me.RunDay([][]cluster.Workload{ws})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Regions) != 1 {
+				t.Fatalf("single-region result carries %d regions, want 1", len(res.Regions))
+			}
+			regional := res.Regions[0]
+			if regional.Region != "local" || regional.Geo != geo {
+				t.Errorf("%s/%s: implicit region labelled %q/%q, want local/%s",
+					sc, geo, regional.Region, regional.Geo, geo)
+			}
+			regional.Region, regional.Geo = "", ""
+			if !reflect.DeepEqual(regional, plain) {
+				t.Errorf("%s/%s: single-region MultiEngine replay diverged from the plain Engine", sc, geo)
+			}
+		}
 	}
 }
 

@@ -294,17 +294,30 @@ func (g *Graph) CriticalPathFLOPs(ids []int) float64 {
 // BuildGraph already emits ops topologically, but partitioned sub-graphs
 // re-derive order after filtering.
 func (g *Graph) TopoOrder(ids []int) []int {
+	return g.TopoOrderBuf(ids, &TopoBuf{})
+}
+
+// TopoBuf is reusable working memory for TopoOrderBuf.
+type TopoBuf struct {
+	in                                   []bool
+	indeg, off, succ, fill, ready, order []int
+}
+
+// TopoOrderBuf is TopoOrder working in buf: it allocates nothing once
+// buf has grown to the graph, and the returned order aliases buf until
+// its next use.
+func (g *Graph) TopoOrderBuf(ids []int, buf *TopoBuf) []int {
 	// Op IDs index g.Ops, so the bookkeeping lives in flat slices with a
 	// CSR successor table instead of maps — this runs once per cost-model
 	// evaluation, thousands of times during a serving-table calibration
 	// or a fleet service-grid fill, and hashing dominated it.
 	n := len(g.Ops)
-	in := make([]bool, n)
+	in := resized(buf.in, n)
 	for _, id := range ids {
 		in[id] = true
 	}
-	indeg := make([]int, n)
-	off := make([]int, n+1)
+	indeg := resized(buf.indeg, n)
+	off := resized(buf.off, n+1)
 	for _, id := range ids {
 		for _, dep := range g.Ops[id].DependsOn {
 			if in[dep] {
@@ -316,8 +329,8 @@ func (g *Graph) TopoOrder(ids []int) []int {
 	for i := 0; i < n; i++ {
 		off[i+1] += off[i]
 	}
-	succ := make([]int, off[n])
-	fill := make([]int, n)
+	succ := resized(buf.succ, off[n])
+	fill := resized(buf.fill, n)
 	copy(fill, off[:n])
 	for _, id := range ids {
 		for _, dep := range g.Ops[id].DependsOn {
@@ -327,17 +340,16 @@ func (g *Graph) TopoOrder(ids []int) []int {
 			}
 		}
 	}
-	ready := make([]int, 0, len(ids))
+	ready := buf.ready[:0]
 	for _, id := range ids {
 		if indeg[id] == 0 {
 			ready = append(ready, id)
 		}
 	}
 	sort.Ints(ready)
-	order := make([]int, 0, len(ids))
-	for len(ready) > 0 {
-		id := ready[0]
-		ready = ready[1:]
+	order := buf.order[:0]
+	for head := 0; head < len(ready); head++ {
+		id := ready[head]
 		order = append(order, id)
 		next := succ[off[id]:fill[id]]
 		sort.Ints(next)
@@ -348,5 +360,17 @@ func (g *Graph) TopoOrder(ids []int) []int {
 			}
 		}
 	}
+	*buf = TopoBuf{in: in, indeg: indeg, off: off, succ: succ, fill: fill, ready: ready, order: order}
 	return order
+}
+
+// resized returns s with length n and every element zero, reusing its
+// backing array when it is large enough.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -151,6 +152,34 @@ func TestTopoOrderSubset(t *testing.T) {
 	order := g.TopoOrder(dense)
 	if len(order) != len(dense) {
 		t.Fatalf("subset topo order wrong length")
+	}
+}
+
+// One TopoBuf carried across graphs of different sizes and op subsets
+// must give every call the order a fresh buffer gives, and a warm
+// buffer must not allocate.
+func TestTopoOrderBufReuse(t *testing.T) {
+	var buf TopoBuf
+	for round := 0; round < 2; round++ {
+		for _, m := range Zoo(Prod) {
+			g := BuildGraph(m)
+			all := make([]int, len(g.Ops))
+			for i := range all {
+				all[i] = i
+			}
+			for _, ids := range [][]int{g.DenseOps(), g.SparseOps(), all} {
+				want := g.TopoOrder(ids)
+				if got := g.TopoOrderBuf(ids, &buf); !slices.Equal(got, want) {
+					t.Fatalf("%s: reused buffer gave %v, fresh %v", m.Name, got, want)
+				}
+			}
+		}
+	}
+	g := BuildGraph(DLRMRMC1(Prod))
+	dense := g.DenseOps()
+	g.TopoOrderBuf(dense, &buf)
+	if n := testing.AllocsPerRun(100, func() { g.TopoOrderBuf(dense, &buf) }); n != 0 {
+		t.Errorf("warm TopoOrderBuf allocates %v times per call", n)
 	}
 }
 

@@ -43,7 +43,10 @@ func evalWindow(rate float64) float64 {
 func (s *Server) Evaluate(cfg Config, rateQPS float64, seed int64) (Result, error) {
 	window := evalWindow(rateQPS)
 	gen := workload.NewGenerator(s.Model, rateQPS, seed)
-	queries := gen.Until(window)
+	// Sized for the expected Poisson count plus four standard
+	// deviations, so the stream is rarely regrown while generated.
+	n := rateQPS * window
+	queries := gen.AppendUntil(make([]workload.Query, 0, int(n+4*math.Sqrt(n))+16), window)
 	if len(queries) == 0 {
 		return Result{}, nil
 	}

@@ -106,6 +106,8 @@ type run struct {
 	// Cost memo for CPU batches, keyed on (items, active threads,
 	// scale bucket, phase).
 	cpuMemo map[int64]costmodel.CPUBatchCost
+	// phaseOps holds each cost phase's op IDs, built on first use.
+	phaseOps [3][]int
 }
 
 func newRun(s *Server, cfg Config) *run {
@@ -143,14 +145,17 @@ func (r *run) cpuCost(phase, items int, scale float64, coThreads, workers int) c
 	if c, ok := r.cpuMemo[key]; ok {
 		return c
 	}
-	var ids []int
-	switch phase {
-	case 0:
-		ids = allOps(r.s.Graph)
-	case 1:
-		ids = r.s.Graph.SparseOps()
-	default:
-		ids = r.s.Graph.DenseOps()
+	ids := r.phaseOps[phase]
+	if ids == nil {
+		switch phase {
+		case 0:
+			ids = allOps(r.s.Graph)
+		case 1:
+			ids = r.s.Graph.SparseOps()
+		default:
+			ids = r.s.Graph.DenseOps()
+		}
+		r.phaseOps[phase] = ids
 	}
 	c := costmodel.CPUBatch(r.s.Params, r.s.HW, r.s.Graph, ids, items,
 		bucketScale(sb), coThreads, workers, r.cfg.UseNMP, r.s.LUT)
@@ -248,7 +253,7 @@ func (r *run) cpuSDPipeline(queries []workload.Query) {
 		scale float64
 		ready float64
 	}
-	var hs []handoff
+	hs := make([]handoff, 0, len(queries))
 	for qi, q := range queries {
 		for _, items := range subBatches(q.Size, cfg.Batch) {
 			ti := earliest(sparseFree)
