@@ -313,13 +313,17 @@ func buildSpec(cf *cliFlags, fs *flag.FlagSet) (fleet.Spec, error) {
 		for _, apply := range overlays {
 			apply(&spec)
 		}
-		return spec, nil
+	} else {
+		fs.Visit(func(f *flag.Flag) {
+			if apply, ok := overlays[f.Name]; ok {
+				apply(&spec)
+			}
+		})
 	}
-	fs.Visit(func(f *flag.Flag) {
-		if apply, ok := overlays[f.Name]; ok {
-			apply(&spec)
-		}
-	})
+	// Reject an invalid spec before calibrating a table for it.
+	if _, err := spec.Normalize(); err != nil {
+		return spec, err
+	}
 	return spec, nil
 }
 

@@ -66,6 +66,41 @@ func TestSpecFileFlagsOverride(t *testing.T) {
 	}
 }
 
+// TestZeroSliceOrWindowRejected: a spec file or flag that sets the
+// replay slice or the tail window to zero fails before any replay,
+// with an error naming the field, instead of replaying an empty day.
+func TestZeroSliceOrWindowRejected(t *testing.T) {
+	data, err := os.ReadFile("../../testdata/smoke.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeroSlice := strings.Replace(string(data), `"slice_s": 4`, `"slice_s": 0`, 1)
+	if zeroSlice == string(data) {
+		t.Fatal("smoke.json no longer sets slice_s: 4")
+	}
+	path := t.TempDir() + "/zero_slice.json"
+	if err := os.WriteFile(path, []byte(zeroSlice), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args  []string
+		field string
+	}{
+		{[]string{"-spec", path}, "options.slice_s"},
+		{[]string{"-spec", "../../testdata/smoke.json", "-window", "0"}, "options.window_s"},
+		{[]string{"-slice", "-4"}, "options.slice_s"},
+	} {
+		fs := flag.NewFlagSet("hercules-fleet", flag.ContinueOnError)
+		cf := registerFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := buildSpec(cf, fs); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%v: error %v, want one naming %s", tc.args, err, tc.field)
+		}
+	}
+}
+
 // TestRouterErrorListsRegistered: a bad -routers value must name every
 // registered router, sourced from the registry.
 func TestRouterErrorListsRegistered(t *testing.T) {

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -117,7 +118,8 @@ func FuzzTraceParse(f *testing.F) {
 
 // FuzzSpecDecode throws arbitrary JSON at the fleet Spec decoder and
 // the defaulting pass behind it: decode, default, re-encode must never
-// panic, and a defaulted spec must survive a decode round trip.
+// panic, a defaulted spec must survive a decode round trip, and a spec
+// that Normalize accepts has a positive, finite slice and window.
 func FuzzSpecDecode(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"router":"p2c","policy":"greedy","models":["DLRM-RMC1"]}`))
@@ -130,6 +132,7 @@ func FuzzSpecDecode(f *testing.F) {
 	f.Add([]byte(`{"grid":{"hourly_g":[1,2,3],"regions":{"east":{"phase_h":-99}}}}`))
 	f.Add([]byte(`{"scenario":"{\"name\":\"c\",\"events\":[{\"kind\":\"powercap\",\"type\":\"T2\",\"watts\":-5}]}"}`))
 	f.Add([]byte(`[1,2,3]`))
+	f.Add([]byte(`{"options":{"slice_s":0,"window_s":-1,"queue_cap":4}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec Spec
@@ -149,6 +152,11 @@ func FuzzSpecDecode(f *testing.F) {
 		}
 		if def.Router == "" || def.Policy == "" {
 			t.Fatalf("withDefaults left router/policy empty: %q %q", def.Router, def.Policy)
+		}
+		if norm, err := spec.Normalize(); err == nil {
+			if o := norm.Options; !(o.SliceS > 0) || math.IsInf(o.SliceS, 0) || !(o.WindowS > 0) || math.IsInf(o.WindowS, 0) {
+				t.Fatalf("Normalize accepted slice_s %v, window_s %v", o.SliceS, o.WindowS)
+			}
 		}
 	})
 }

@@ -77,6 +77,13 @@ type Instance struct {
 	// stop counting as pending load the moment its launch instant
 	// passes); the next ArriveBatched or FlushPending drains it.
 	emitted []Completion
+	// due caches the earliest instant at which Outstanding's answer can
+	// change: the first completion comps[0] or the forming batch's
+	// launch instant, whichever is sooner (+Inf when there is neither).
+	// Every method that changes comps, free or the forming batch
+	// refreshes it before returning, so a router inspection before it
+	// costs one comparison.
+	due float64
 
 	// Served/Dropped count this slice's admissions and rejections.
 	Served, Dropped int
@@ -117,6 +124,7 @@ func NewInstance(id int, serverType, modelName string, weight float64, concurren
 		MaxBatch:    1,
 		svc:         svc,
 		horizon:     math.Inf(1),
+		due:         math.Inf(1),
 		free:        make([]float64, concurrency),
 		comps:       make([]float64, 0, concurrency+queueCap),
 	}
@@ -182,6 +190,7 @@ func (in *Instance) ResetSlice(horizonS float64) {
 		horizonS = math.Inf(1)
 	}
 	in.horizon = horizonS
+	in.due = math.Inf(1)
 	in.Served, in.Dropped = 0, 0
 }
 
@@ -192,9 +201,20 @@ func (in *Instance) ResetSlice(horizonS float64) {
 // FlushPending drains them), so router inspections never see phantom
 // load from a batch that has virtually launched — the launch instant
 // is a function of instance state alone, never of who observes it.
+// Before the cached due instant nothing can pop or launch, so the
+// answer is the current count and the call inlines to one comparison.
 func (in *Instance) Outstanding(now float64) int {
+	if now < in.due {
+		return len(in.comps) + len(in.pendArr)
+	}
+	return in.advance(now)
+}
+
+// advance is Outstanding's slow path: launch a due forming batch, pop
+// every completion at or before now, and refresh the due instant.
+func (in *Instance) advance(now float64) int {
 	if len(in.pendArr) > 0 {
-		if launch := math.Max(in.pendOpen+in.BatchWaitS, in.free[0]); launch <= now {
+		if launch := in.launchAt(); launch <= now {
 			in.emitted = in.dispatchPending(launch, in.emitted)
 		}
 	}
@@ -206,7 +226,41 @@ func (in *Instance) Outstanding(now float64) int {
 		siftDown(h, 0)
 	}
 	in.comps = h
+	if len(in.pendArr) > 0 {
+		in.refreshDue()
+	} else if len(h) > 0 {
+		in.due = h[0]
+	} else {
+		in.due = math.Inf(1)
+	}
 	return len(h) + len(in.pendArr)
+}
+
+// launchAt is the forming batch's launch instant: its wait-window
+// deadline, or the first channel's free instant if that is later. Both
+// are finite and non-negative, so the plain comparison gives the same
+// bits as math.Max.
+func (in *Instance) launchAt() float64 {
+	l := in.pendOpen + in.BatchWaitS
+	if f := in.free[0]; f > l {
+		l = f
+	}
+	return l
+}
+
+// refreshDue recomputes the due instant from scratch: the sooner of
+// the first completion and the forming batch's launch.
+func (in *Instance) refreshDue() {
+	d := math.Inf(1)
+	if len(in.comps) > 0 {
+		d = in.comps[0]
+	}
+	if len(in.pendArr) > 0 {
+		if l := in.launchAt(); l < d {
+			d = l
+		}
+	}
+	in.due = d
 }
 
 // Utilization returns the mean busy fraction of the instance's service
@@ -265,6 +319,11 @@ func (in *Instance) arrive(now float64, size int, scale float64) (startAt, doneA
 	in.addBusy(start, done)
 	in.comps = append(in.comps, done)
 	siftUp(in.comps, len(in.comps)-1)
+	if len(in.pendArr) > 0 {
+		in.refreshDue()
+	} else if done < in.due {
+		in.due = done
+	}
 	in.Served++
 	return start, done, false
 }
@@ -283,7 +342,7 @@ func (in *Instance) arrive(now float64, size int, scale float64) (startAt, doneA
 func (in *Instance) ArriveBatched(id int64, now float64, size int, scale float64, out []Completion) ([]Completion, bool) {
 	out = in.drainEmitted(out)
 	if len(in.pendArr) > 0 {
-		if launch := math.Max(in.pendOpen+in.BatchWaitS, in.free[0]); launch <= now {
+		if launch := in.launchAt(); launch <= now {
 			out = in.dispatchPending(launch, out)
 		}
 	}
@@ -303,7 +362,13 @@ func (in *Instance) ArriveBatched(id int64, now float64, size int, scale float64
 	in.pendArr = append(in.pendArr, now)
 	in.pendSvc = append(in.pendSvc, s)
 	if len(in.pendArr) >= in.MaxBatch {
-		out = in.dispatchPending(now, out)
+		return in.dispatchPending(now, out), false
+	}
+	// Only a new batch's first member moves the launch instant.
+	if len(in.pendArr) == 1 {
+		if l := in.launchAt(); l < in.due {
+			in.due = l
+		}
 	}
 	return out, false
 }
@@ -320,7 +385,7 @@ func (in *Instance) FlushPending(out []Completion) []Completion {
 	if len(in.pendArr) == 0 {
 		return out
 	}
-	return in.dispatchPending(math.Max(in.pendOpen+in.BatchWaitS, in.free[0]), out)
+	return in.dispatchPending(in.launchAt(), out)
 }
 
 // drainEmitted moves completions buffered by Outstanding-triggered
@@ -385,6 +450,7 @@ func (in *Instance) dispatchPending(at float64, out []Completion) []Completion {
 	in.pendID = in.pendID[:0]
 	in.pendArr = in.pendArr[:0]
 	in.pendSvc = in.pendSvc[:0]
+	in.due = in.comps[0]
 	return out
 }
 

@@ -125,13 +125,17 @@ const DefaultRTTMS = 80.0
 // "local", and SpecVersion is stamped. It validates what it
 // canonicalizes — missing or duplicate region names, an RTT entry
 // naming an unknown region, or a spec version newer than this build
-// are errors. Normalizing an already-normal spec is the identity.
+// are errors, and so are a non-positive or non-finite slice or
+// window. Normalizing an already-normal spec is the identity.
 func (s Spec) Normalize() (Spec, error) {
 	if s.SpecVersion > SpecVersionCurrent {
 		return s, fmt.Errorf("fleet: spec version %d is newer than this build supports (max %d)",
 			s.SpecVersion, SpecVersionCurrent)
 	}
 	s = s.withDefaults()
+	if err := s.Options.validate(); err != nil {
+		return s, err
+	}
 	regions := make([]RegionSpec, len(s.Regions))
 	copy(regions, s.Regions)
 	if len(regions) == 0 {
@@ -222,6 +226,19 @@ func (s Spec) withDefaults() Spec {
 		s.Options = def.Options
 	}
 	return s
+}
+
+// validate rejects replay geometry that cannot describe a day: a
+// slice of zero or negative seconds replays no queries, and a zero
+// window divides the slice into no tail windows.
+func (o Options) validate() error {
+	if !(o.SliceS > 0) || math.IsInf(o.SliceS, 1) {
+		return fmt.Errorf("fleet: options.slice_s must be a positive, finite number of seconds, got %v", o.SliceS)
+	}
+	if !(o.WindowS > 0) || math.IsInf(o.WindowS, 1) {
+		return fmt.Errorf("fleet: options.window_s must be a positive, finite number of seconds, got %v", o.WindowS)
+	}
+	return nil
 }
 
 // Option customizes NewEngine beyond what a serializable Spec can
@@ -317,6 +334,9 @@ func NewEngine(spec Spec, opts ...Option) (*Engine, error) {
 		spec.Models = traceSrc.Models()
 	}
 	spec = spec.withDefaults()
+	if err := spec.Options.validate(); err != nil {
+		return nil, err
+	}
 	if len(spec.Regions) > 1 {
 		return nil, fmt.Errorf("fleet: spec has %d regions; use NewMultiEngine for multi-region replays", len(spec.Regions))
 	}

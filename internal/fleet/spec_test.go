@@ -1,6 +1,10 @@
 package fleet
 
 import (
+	"encoding/json"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -60,6 +64,65 @@ func TestNewEngineRejectsUnknownNames(t *testing.T) {
 		_, err := NewEngine(spec, WithTable(testTable()))
 		if err == nil || !strings.Contains(err.Error(), tc.frag) {
 			t.Errorf("NewEngine(%+v) error %v, want %q", spec, err, tc.frag)
+		}
+	}
+}
+
+// TestSpecRejectsEmptySliceGeometry: a slice or tail window that is
+// zero, negative or non-finite fails Normalize and NewEngine with an
+// error naming the field. A zero slice would replay a day of no
+// queries and report it clean; a zero window would divide by zero.
+func TestSpecRejectsEmptySliceGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Options, float64)
+	}{
+		{"options.slice_s", func(o *Options, v float64) { o.SliceS = v }},
+		{"options.window_s", func(o *Options, v float64) { o.WindowS = v }},
+	} {
+		for _, v := range []float64{0, -4, math.NaN(), math.Inf(1)} {
+			spec := Spec{Models: []string{"DLRM-RMC1"}, Options: DefaultOptions()}
+			tc.set(&spec.Options, v)
+			if _, err := spec.Normalize(); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("Normalize with %s=%v: error %v, want one naming the field", tc.field, v, err)
+			}
+			if _, err := NewEngine(spec, WithTable(testTable())); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("NewEngine with %s=%v: error %v, want one naming the field", tc.field, v, err)
+			}
+		}
+	}
+	// The spec-file form: a committed spec with its slice zeroed.
+	data, err := os.ReadFile("../../testdata/smoke.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec Spec
+	if err := json.Unmarshal([]byte(strings.Replace(string(data), `"slice_s": 4`, `"slice_s": 0`, 1)), &spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewEngine(spec, WithTable(testTable())); err == nil || !strings.Contains(err.Error(), "options.slice_s") {
+		t.Errorf("smoke.json with slice_s 0: NewEngine error %v, want one naming options.slice_s", err)
+	}
+}
+
+// TestCommittedSpecsNormalize: every committed spec file passes
+// Normalize, so validation added there cannot strand one.
+func TestCommittedSpecsNormalize(t *testing.T) {
+	paths, err := filepath.Glob("../../testdata/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed specs found: %v", err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var spec Spec
+		if err := json.Unmarshal(data, &spec); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if _, err := spec.Normalize(); err != nil {
+			t.Errorf("%s: %v", path, err)
 		}
 	}
 }

@@ -164,58 +164,90 @@ func TestTracedBatchedReplayDeterministic(t *testing.T) {
 // PickTraced must make the identical decision sequence Pick makes —
 // same picks, same RNG draws, same instance-state evolution — while
 // filling in the routing event. Two mirrored simulations with shared
-// seeds catch any divergence in draw count or Outstanding() order.
+// seeds catch any divergence in draw count or Outstanding() order. The
+// batched pool (three channels, MaxBatch 4) makes router inspections
+// launch due forming batches, so the mirrored completions pin that
+// contract too.
 func TestTracedRoutersMatchUntraced(t *testing.T) {
-	for _, kind := range AllRouters {
-		plain, err := NewRouter(kind)
-		if err != nil {
-			t.Fatal(err)
+	batchedPool := func() []*Instance {
+		insts := make([]*Instance, 5)
+		for i := range insts {
+			insts[i] = NewInstance(i, "T2", "DLRM-RMC1", float64(60+20*i), 3, 4,
+				func(size int, scale float64) float64 { return 0.008 })
+			insts[i].EnableBatching(4, 0.002, []float64{1, 1, 0.8, 0.7, 0.6})
 		}
-		tracedR, err := NewRouter(kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, ok := tracedR.(TracedRouter)
-		if !ok {
-			t.Fatalf("%s does not implement TracedRouter", kind)
-		}
-		instsA := constInstances(5, "T2", 0.008, 100, 16)
-		instsB := constInstances(5, "T2", 0.008, 100, 16)
-		rngA := stats.NewRand(99)
-		rngB := stats.NewRand(99)
-		now := 0.0
-		var ev telemetry.Event
-		for i := 0; i < 400; i++ {
-			pa := plain.Pick(instsA, now, rngA)
-			ev = telemetry.Event{}
-			pb := tr.PickTraced(instsB, now, rngB, &ev)
-			if pa != pb {
-				t.Fatalf("%s: decision %d diverged: Pick=%d PickTraced=%d", kind, i, pa, pb)
+		return insts
+	}
+	pools := []struct {
+		name string
+		make func() []*Instance
+	}{
+		{"unbatched", func() []*Instance { return constInstances(5, "T2", 0.008, 100, 16) }},
+		{"batched", batchedPool},
+	}
+	for _, pool := range pools {
+		for _, kind := range AllRouters {
+			plain, err := NewRouter(kind)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if ev.NCand == 0 {
-				t.Fatalf("%s: no candidates recorded", kind)
+			tracedR, err := NewRouter(kind)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// The chosen instance must be among the recorded candidates
-			// (the engine stamps ev.Instance itself after PickTraced).
-			found := false
-			for c := 0; c < int(ev.NCand) && c < telemetry.MaxCandidates; c++ {
-				if int(ev.Cand[c]) == instsB[pb].ID {
-					found = true
-					break
+			tr, ok := tracedR.(TracedRouter)
+			if !ok {
+				t.Fatalf("%s does not implement TracedRouter", kind)
+			}
+			instsA := pool.make()
+			instsB := pool.make()
+			rngA := stats.NewRand(99)
+			rngB := stats.NewRand(99)
+			now := 0.0
+			var ev telemetry.Event
+			var compsA, compsB []Completion
+			for i := 0; i < 400; i++ {
+				pa := plain.Pick(instsA, now, rngA)
+				ev = telemetry.Event{}
+				pb := tr.PickTraced(instsB, now, rngB, &ev)
+				if pa != pb {
+					t.Fatalf("%s/%s: decision %d diverged: Pick=%d PickTraced=%d", pool.name, kind, i, pa, pb)
+				}
+				if ev.NCand == 0 {
+					t.Fatalf("%s/%s: no candidates recorded", pool.name, kind)
+				}
+				// The chosen instance must be among the recorded candidates
+				// (the engine stamps ev.Instance itself after PickTraced).
+				found := false
+				for c := 0; c < int(ev.NCand) && c < telemetry.MaxCandidates; c++ {
+					if int(ev.Cand[c]) == instsB[pb].ID {
+						found = true
+						break
+					}
+				}
+				if !found {
+					t.Fatalf("%s/%s: picked instance %d not among %d recorded candidates",
+						pool.name, kind, instsB[pb].ID, ev.NCand)
+				}
+				if instsA[pa].MaxBatch > 1 {
+					compsA, _ = instsA[pa].ArriveBatched(int64(i), now, 100, 1, compsA)
+					compsB, _ = instsB[pb].ArriveBatched(int64(i), now, 100, 1, compsB)
+				} else {
+					instsA[pa].Arrive(now, 100, 1)
+					instsB[pb].Arrive(now, 100, 1)
+				}
+				now += 0.0007
+			}
+			for i := range instsA {
+				compsA = instsA[i].FlushPending(compsA)
+				compsB = instsB[i].FlushPending(compsB)
+				if instsA[i].Served != instsB[i].Served || instsA[i].Dropped != instsB[i].Dropped {
+					t.Fatalf("%s/%s: instance %d state diverged (%d/%d vs %d/%d)", pool.name, kind, i,
+						instsA[i].Served, instsA[i].Dropped, instsB[i].Served, instsB[i].Dropped)
 				}
 			}
-			if !found {
-				t.Fatalf("%s: picked instance %d not among %d recorded candidates",
-					kind, instsB[pb].ID, ev.NCand)
-			}
-			instsA[pa].Arrive(now, 100, 1)
-			instsB[pb].Arrive(now, 100, 1)
-			now += 0.0007
-		}
-		for i := range instsA {
-			if instsA[i].Served != instsB[i].Served || instsA[i].Dropped != instsB[i].Dropped {
-				t.Fatalf("%s: instance %d state diverged (%d/%d vs %d/%d)", kind, i,
-					instsA[i].Served, instsA[i].Dropped, instsB[i].Served, instsB[i].Dropped)
+			if !reflect.DeepEqual(compsA, compsB) {
+				t.Fatalf("%s/%s: completions diverged", pool.name, kind)
 			}
 		}
 	}
